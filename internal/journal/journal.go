@@ -22,9 +22,11 @@
 // segments in order; a torn tail (partial last line, CRC mismatch on
 // the final record — the signature of a crash mid-write) is truncated
 // away, while corruption anywhere else is a classified error, never a
-// panic. Segments rotate at a byte threshold and Compact rewrites the
-// records of still-live jobs into a fresh segment so the journal does
-// not grow without bound.
+// panic. Segments rotate at a byte threshold. The journal indexes the
+// frames of its live set — the lifecycle records and newest checkpoint
+// of every job not yet terminal — and Compact copies exactly those
+// frames into a fresh segment, so the journal does not grow without
+// bound and compaction never re-reads or re-decodes its history.
 package journal
 
 import (
@@ -105,7 +107,7 @@ type Record struct {
 	Job string `json:"job"`
 	// Op is the lifecycle transition.
 	Op Op `json:"op"`
-	// Kind is the job kind (simulate | sweep | schedule), set on
+	// Kind is the job kind (simulate | sweep | schedule | cluster), set on
 	// OpAccepted so recovery knows how to decode Payload.
 	Kind string `json:"kind,omitempty"`
 	// RequestID is the serving-layer correlation ID (OpAccepted).
@@ -149,16 +151,9 @@ func EncodeRecord(rec Record) ([]byte, error) {
 // Every malformed input yields a classified error — ErrFrame,
 // ErrChecksum, or ErrRecord — never a panic.
 func DecodeRecord(line []byte) (Record, error) {
-	if len(line) < 10 || line[8] != ' ' {
-		return Record{}, fmt.Errorf("%w: line of %d bytes", ErrFrame, len(line))
-	}
-	want64, err := strconv.ParseUint(string(line[:8]), 16, 32)
+	payload, err := framePayload(line)
 	if err != nil {
-		return Record{}, fmt.Errorf("%w: bad checksum field %q", ErrFrame, line[:8])
-	}
-	payload := line[9:]
-	if got := crc32.Checksum(payload, castagnoli); got != uint32(want64) {
-		return Record{}, fmt.Errorf("%w: have %08x, frame says %08x", ErrChecksum, got, uint32(want64))
+		return Record{}, err
 	}
 	var rec Record
 	dec := json.NewDecoder(bytes.NewReader(payload))
@@ -173,6 +168,23 @@ func DecodeRecord(line []byte) (Record, error) {
 		return Record{}, fmt.Errorf("%w: record has no job id", ErrRecord)
 	}
 	return rec, nil
+}
+
+// framePayload checks one journal line (without the trailing newline)
+// against its CRC frame and returns the JSON document it carries.
+func framePayload(line []byte) ([]byte, error) {
+	if len(line) < 10 || line[8] != ' ' {
+		return nil, fmt.Errorf("%w: line of %d bytes", ErrFrame, len(line))
+	}
+	want64, err := strconv.ParseUint(string(line[:8]), 16, 32)
+	if err != nil {
+		return nil, fmt.Errorf("%w: bad checksum field %q", ErrFrame, line[:8])
+	}
+	payload := line[9:]
+	if got := crc32.Checksum(payload, castagnoli); got != uint32(want64) {
+		return nil, fmt.Errorf("%w: have %08x, frame says %08x", ErrChecksum, got, uint32(want64))
+	}
+	return payload, nil
 }
 
 // Stats is a point-in-time view of the journal counters.
@@ -191,6 +203,12 @@ type Stats struct {
 	// Segments and Bytes describe the on-disk footprint.
 	Segments int   `json:"segments"`
 	Bytes    int64 `json:"bytes"`
+	// LiveRecords and LiveBytes measure the live set, the frames a
+	// compaction keeps: the lifecycle records and newest checkpoint of
+	// every job that has not reached a terminal op. Right after a
+	// compaction, Bytes equals LiveBytes.
+	LiveRecords int64 `json:"live_records"`
+	LiveBytes   int64 `json:"live_bytes"`
 }
 
 // Options configures a journal. The zero value is usable.
@@ -227,6 +245,27 @@ type Journal struct {
 	closed  bool     // guarded by mu
 	damaged bool     // guarded by mu: unacknowledged bytes sit past size in the active segment
 	stats   Stats    // guarded by mu
+	// live indexes the live set by job ID: where each frame a compaction
+	// keeps sits on disk. It holds locations, not bytes.
+	live map[string]*liveJob // guarded by mu
+}
+
+// frame locates one acknowledged record on disk: its segment, the byte
+// offset and length of its CRC-framed line (newline included), and its
+// sequence number.
+type frame struct {
+	seg int
+	off int64
+	n   int64
+	seq uint64
+}
+
+// liveJob is the index entry of a job that has not reached a terminal
+// op: its lifecycle records in append order, and its newest checkpoint
+// (n == 0 while it has none).
+type liveJob struct {
+	lifecycle []frame
+	ckpt      frame
 }
 
 // segmentName renders the file name of segment i.
@@ -261,30 +300,33 @@ func segments(dir string) ([]int, error) {
 	return idx, nil
 }
 
-// replaySegment reads one segment file. last marks the journal's final
-// segment, where a torn tail (partial or corrupt final record — the
-// signature of a crash mid-write) is truncated in place rather than
-// reported; anywhere else corruption is a classified error. It
-// returns the records and how many torn records were dropped.
-func replaySegment(path string, last bool) ([]Record, int64, error) {
+// replaySegment reads segment seg of dir. last marks the journal's
+// final segment, where a torn tail (partial or corrupt final record —
+// the signature of a crash mid-write) is truncated in place rather than
+// reported; anywhere else corruption is a classified error. It returns
+// the records, where each one's frame sits, and how many torn records
+// were dropped.
+func replaySegment(dir string, seg int, last bool) ([]Record, []frame, int64, error) {
+	path := filepath.Join(dir, segmentName(seg))
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, 0, fmt.Errorf("journal: reading segment: %w", err)
+		return nil, nil, 0, fmt.Errorf("journal: reading segment: %w", err)
 	}
 	var recs []Record
+	var frames []frame
 	offset := 0
 	for offset < len(data) {
 		nl := bytes.IndexByte(data[offset:], '\n')
 		if nl < 0 {
 			// Unterminated final line: a torn write.
 			if !last {
-				return nil, 0, fmt.Errorf("journal: %s: unterminated record at byte %d in non-final segment: %w",
+				return nil, nil, 0, fmt.Errorf("journal: %s: unterminated record at byte %d in non-final segment: %w",
 					filepath.Base(path), offset, ErrFrame)
 			}
 			if err := os.Truncate(path, int64(offset)); err != nil {
-				return nil, 0, fmt.Errorf("journal: truncating torn tail of %s: %w", filepath.Base(path), err)
+				return nil, nil, 0, fmt.Errorf("journal: truncating torn tail of %s: %w", filepath.Base(path), err)
 			}
-			return recs, 1, nil
+			return recs, frames, 1, nil
 		}
 		line := data[offset : offset+nl]
 		rec, derr := DecodeRecord(line)
@@ -294,21 +336,23 @@ func replaySegment(path string, last bool) ([]Record, int64, error) {
 				// Torn final record (e.g. crash between write and sync
 				// left a half-flushed page): truncate and recover.
 				if err := os.Truncate(path, int64(offset)); err != nil {
-					return nil, 0, fmt.Errorf("journal: truncating torn tail of %s: %w", filepath.Base(path), err)
+					return nil, nil, 0, fmt.Errorf("journal: truncating torn tail of %s: %w", filepath.Base(path), err)
 				}
-				return recs, 1, nil
+				return recs, frames, 1, nil
 			}
-			return nil, 0, fmt.Errorf("journal: %s: record at byte %d: %w", filepath.Base(path), offset, derr)
+			return nil, nil, 0, fmt.Errorf("journal: %s: record at byte %d: %w", filepath.Base(path), offset, derr)
 		}
 		recs = append(recs, rec)
+		frames = append(frames, frame{seg: seg, off: int64(offset), n: int64(nl + 1), seq: rec.Seq})
 		offset += nl + 1
 	}
-	return recs, 0, nil
+	return recs, frames, 0, nil
 }
 
 // Open opens (creating if needed) the journal in dir, replays every
 // existing segment, truncates a torn tail, and positions the journal
-// to append. It returns the recovered records in sequence order.
+// to append. It returns the recovered records in sequence order, and
+// indexes the live set among them so that Compact need not replay.
 // Mid-journal corruption (a bad record that is not the torn tail)
 // fails Open with a classified error: the operator must decide, the
 // journal will not silently skip history.
@@ -323,12 +367,15 @@ func Open(dir string, opts Options) (*Journal, []Record, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	j := &Journal{dir: dir, opts: opts, seg: 0}
+	j := &Journal{dir: dir, opts: opts, seg: 0, live: make(map[string]*liveJob)}
 	var recovered []Record
 	for i, n := range idx {
-		recs, torn, err := replaySegment(filepath.Join(dir, segmentName(n)), i == len(idx)-1)
+		recs, frames, torn, err := replaySegment(dir, n, i == len(idx)-1)
 		if err != nil {
 			return nil, nil, err
+		}
+		for k, r := range recs {
+			j.trackLocked(r.Job, r.Op, frames[k])
 		}
 		j.stats.TornRecords += torn
 		recovered = append(recovered, recs...)
@@ -458,11 +505,52 @@ func (j *Journal) Append(rec Record) error {
 		// its health) even though the bytes may be in the page cache.
 		return j.failAppendLocked(true, fmt.Errorf("journal: fsync: %w", err))
 	}
+	j.trackLocked(rec.Job, rec.Op, frame{seg: j.seg, off: j.size, n: int64(len(line)), seq: rec.Seq})
 	j.seq = rec.Seq
 	j.size += int64(len(line))
 	j.stats.Bytes += int64(len(line))
 	j.stats.Appends++
 	return nil
+}
+
+// trackLocked folds one acknowledged frame of job into the live-set
+// index. This is the compaction policy: a terminal op drops every frame
+// of the job, a checkpoint supersedes the job's previous one, and any
+// other op is kept. The caller holds j.mu.
+func (j *Journal) trackLocked(job string, op Op, f frame) {
+	lj := j.live[job]
+	if op.Terminal() {
+		if lj == nil {
+			return
+		}
+		for _, l := range lj.lifecycle {
+			j.countLocked(l, -1)
+		}
+		j.countLocked(lj.ckpt, -1)
+		delete(j.live, job)
+		return
+	}
+	if lj == nil {
+		lj = &liveJob{}
+		j.live[job] = lj
+	}
+	if op == OpCheckpoint {
+		j.countLocked(lj.ckpt, -1)
+		lj.ckpt = f
+	} else {
+		lj.lifecycle = append(lj.lifecycle, f)
+	}
+	j.countLocked(f, 1)
+}
+
+// countLocked adds (sign 1) or removes (sign -1) frame f in the live-set
+// counters; the empty frame counts for nothing. The caller holds j.mu.
+func (j *Journal) countLocked(f frame, sign int64) {
+	if f.n == 0 {
+		return
+	}
+	j.stats.LiveRecords += sign
+	j.stats.LiveBytes += sign * f.n
 }
 
 // failAppendLocked accounts a failed append whose bytes may have
@@ -527,13 +615,18 @@ func (j *Journal) Stats() Stats {
 // Dir returns the journal directory.
 func (j *Journal) Dir() string { return j.dir }
 
-// Compact rewrites the journal so it holds only the records for which
-// keep returns true (typically: jobs that are not yet terminal, plus
-// terminal jobs still inside the history TTL). The surviving records
-// are rewritten into the active segment's successor and every older
-// segment is removed. Records keep their original sequence numbers, so
-// replay order is unaffected.
-func (j *Journal) Compact(records []Record, keep func(r Record) bool) error {
+// Compact rewrites the journal down to its live set: the lifecycle
+// records and newest checkpoint of every job that has not reached a
+// terminal op. It reads exactly those frames from wherever they sit,
+// checks their checksums, writes them in sequence order into a fresh
+// segment and fsyncs it; only then does it repoint the index at the
+// copies and remove every older segment. Nothing is decoded or
+// re-encoded — the frames are copied byte for byte and keep their
+// sequence numbers — so the work done under the lock is proportional
+// to the live bytes, not to the history. A compaction that fails before
+// its fsync succeeds truncates the fresh segment back to empty and
+// leaves the index and the older segments as they were.
+func (j *Journal) Compact() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
@@ -542,50 +635,11 @@ func (j *Journal) Compact(records []Record, keep func(r Record) bool) error {
 	if j.damaged && !j.repairLocked() {
 		return fmt.Errorf("%w: unacknowledged bytes past offset %d", ErrDamaged, j.size)
 	}
-	return j.rewriteLocked(records, keep)
-}
-
-// CompactSelf compacts the journal from its own on-disk state: it
-// replays every segment under the journal lock (appends are quiesced,
-// and every acknowledged record is already fsynced, so the read sees
-// exactly the committed history), reduces the record set, and rewrites
-// the survivors. This is the runtime-compaction entry point — boot-time
-// compaction uses Compact with the records Open already replayed. A
-// nil reduce keeps everything (still reclaiming rotated segments).
-func (j *Journal) CompactSelf(reduce func(recs []Record) []Record) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return ErrClosed
-	}
-	if j.damaged && !j.repairLocked() {
-		return fmt.Errorf("%w: unacknowledged bytes past offset %d", ErrDamaged, j.size)
-	}
-	idx, err := segments(j.dir)
+	frames := j.liveFramesLocked()
+	buf, err := j.readFramesLocked(frames)
 	if err != nil {
 		return err
 	}
-	var recs []Record
-	for _, n := range idx {
-		// Strict replay everywhere: failed appends were truncated back
-		// out above, so a torn tail here is real corruption, not a
-		// crash artifact — surface it, don't truncate it.
-		rs, _, err := replaySegment(filepath.Join(j.dir, segmentName(n)), false)
-		if err != nil {
-			return err
-		}
-		recs = append(recs, rs...)
-	}
-	if reduce != nil {
-		recs = reduce(recs)
-	}
-	return j.rewriteLocked(recs, nil)
-}
-
-// rewriteLocked writes the kept records into a fresh segment and
-// removes every older segment once the survivors are durable. The
-// caller holds j.mu.
-func (j *Journal) rewriteLocked(records []Record, keep func(r Record) bool) error {
 	old, err := segments(j.dir)
 	if err != nil {
 		return err
@@ -593,32 +647,24 @@ func (j *Journal) rewriteLocked(records []Record, keep func(r Record) bool) erro
 	if err := j.openSegmentLocked(j.seg + 1); err != nil {
 		return err
 	}
-	var kept int64
-	for _, rec := range records {
-		if keep != nil && !keep(rec) {
-			continue
-		}
-		line, err := EncodeRecord(rec)
-		if err != nil {
-			return err
-		}
-		if _, err := j.f.Write(line); err != nil {
-			j.damaged = true
-			j.repairLocked()
-			return fmt.Errorf("journal: compaction write: %w", err)
-		}
-		j.size += int64(len(line))
-		kept++
+	if _, err := j.f.Write(buf); err != nil {
+		j.damaged = true
+		j.repairLocked()
+		return fmt.Errorf("journal: compaction write: %w", err)
 	}
 	if err := j.f.Sync(); err != nil {
 		j.stats.SyncErrors++
+		j.damaged = true
+		j.repairLocked()
 		return fmt.Errorf("journal: compaction fsync: %w", err)
 	}
-	// Only after the survivors are durable may history disappear.
+	// The copies are durable: the index may point at them now, and only
+	// now may history disappear.
+	for _, f := range frames {
+		*f = frame{seg: j.seg, off: j.size, n: f.n, seq: f.seq}
+		j.size += f.n
+	}
 	for _, n := range old {
-		if n == j.seg {
-			continue
-		}
 		if err := os.Remove(filepath.Join(j.dir, segmentName(n))); err != nil {
 			return fmt.Errorf("journal: removing compacted segment: %w", err)
 		}
@@ -630,6 +676,59 @@ func (j *Journal) rewriteLocked(records []Record, keep func(r Record) bool) erro
 	j.stats.Compactions++
 	j.recountBytesLocked()
 	return nil
+}
+
+// liveFramesLocked lists the live set's frames in sequence order, as
+// pointers into the index so that Compact can repoint them at their
+// copies. The caller holds j.mu.
+func (j *Journal) liveFramesLocked() []*frame {
+	frames := make([]*frame, 0, j.stats.LiveRecords)
+	for _, lj := range j.live {
+		for i := range lj.lifecycle {
+			frames = append(frames, &lj.lifecycle[i])
+		}
+		if lj.ckpt.n > 0 {
+			frames = append(frames, &lj.ckpt)
+		}
+	}
+	sort.Slice(frames, func(a, b int) bool { return frames[a].seq < frames[b].seq })
+	return frames
+}
+
+// readFramesLocked reads frames, in order, into one buffer, opening each
+// segment they sit in once. Every frame's checksum is verified, so a
+// compaction never replaces intact history with a damaged copy. The
+// caller holds j.mu.
+func (j *Journal) readFramesLocked(frames []*frame) (buf []byte, err error) {
+	files := make(map[int]*os.File)
+	defer func() {
+		for _, f := range files {
+			err = errors.Join(err, f.Close())
+		}
+	}()
+	buf = make([]byte, j.stats.LiveBytes)
+	var pos int64
+	for _, f := range frames {
+		src := files[f.seg]
+		if src == nil {
+			if src, err = os.Open(filepath.Join(j.dir, segmentName(f.seg))); err != nil {
+				return nil, fmt.Errorf("journal: compaction read: %w", err)
+			}
+			files[f.seg] = src
+		}
+		line := buf[pos : pos+f.n]
+		if _, err := src.ReadAt(line, f.off); err != nil {
+			return nil, fmt.Errorf("journal: compaction read of %s at byte %d: %w", segmentName(f.seg), f.off, err)
+		}
+		if line[f.n-1] != '\n' {
+			return nil, fmt.Errorf("journal: %s: record at byte %d: %w: unterminated", segmentName(f.seg), f.off, ErrFrame)
+		}
+		if _, err := framePayload(line[:f.n-1]); err != nil {
+			return nil, fmt.Errorf("journal: %s: record at byte %d: %w", segmentName(f.seg), f.off, err)
+		}
+		pos += f.n
+	}
+	return buf, nil
 }
 
 // recountBytesLocked refreshes the on-disk byte tally after

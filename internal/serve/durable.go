@@ -61,42 +61,12 @@ func (e *Engine) maybeCompactJournal() {
 	}
 	go func() {
 		defer e.compacting.Store(false)
-		err := e.opts.Journal.CompactSelf(compactLiveRecords)
+		err := e.opts.Journal.Compact()
 		if err != nil && !errors.Is(err, journal.ErrClosed) {
 			e.noteJournalErr(err)
 			e.logger.Error("journal compaction failed", "error", err)
 		}
 	}()
-}
-
-// compactLiveRecords is the compaction policy shared by runtime
-// compaction and Recover: a job whose journaled lifecycle already
-// ended contributes nothing to a future recovery, and of a live job's
-// checkpoints only the newest is worth replaying. Everything else —
-// accepted payloads and lifecycle transitions of live jobs — survives
-// with its original sequence numbers.
-func compactLiveRecords(recs []journal.Record) []journal.Record {
-	terminal := make(map[string]bool)
-	newestCkpt := make(map[string]uint64)
-	for _, r := range recs {
-		if r.Op.Terminal() {
-			terminal[r.Job] = true
-		}
-		if r.Op == journal.OpCheckpoint && r.Seq >= newestCkpt[r.Job] {
-			newestCkpt[r.Job] = r.Seq
-		}
-	}
-	var out []journal.Record
-	for _, r := range recs {
-		if terminal[r.Job] {
-			continue
-		}
-		if r.Op == journal.OpCheckpoint && r.Seq != newestCkpt[r.Job] {
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
 }
 
 // journalJob writes one lifecycle record for j.
@@ -550,7 +520,7 @@ func (e *Engine) Recover(records []journal.Record) (RecoveryReport, error) {
 	// loop would otherwise leak one empty segment per boot. Terminal
 	// jobs' records go; a live job keeps its payload, lifecycle, and
 	// newest checkpoint.
-	if err := e.opts.Journal.Compact(compactLiveRecords(records), nil); err != nil {
+	if err := e.opts.Journal.Compact(); err != nil {
 		e.noteJournalErr(err)
 		e.logger.Error("journal compaction failed", "error", err)
 	}

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -478,6 +480,60 @@ func TestRuntimeJournalCompaction(t *testing.T) {
 	}
 	if st := jnl.Stats(); st.Segments != 1 {
 		t.Errorf("segments after runtime compactions = %d, want 1", st.Segments)
+	}
+}
+
+// TestJournalLiveGauges: scm_journal_live_records and
+// scm_journal_live_bytes count the live set while a job runs, and read
+// 0 once every job is terminal.
+func TestJournalLiveGauges(t *testing.T) {
+	jnl, _ := openTestJournal(t, journal.Options{})
+	e := NewEngine(Options{Workers: 1, Journal: jnl})
+	release := make(chan struct{})
+	e.simFn = func(ctx context.Context, req Request) (stats.RunStats, error) {
+		<-release
+		return stats.RunStats{Network: "fake"}, nil
+	}
+	gauge := func(name string) string {
+		t.Helper()
+		e.syncGauges()
+		var page bytes.Buffer
+		if err := e.reg.WriteProm(&page); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(page.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				return v
+			}
+		}
+		t.Fatalf("no %s sample on the metrics page", name)
+		return ""
+	}
+
+	j, err := e.SubmitSimulate(engineRequest(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "the running record", func() bool { return jnl.Stats().LiveRecords == 2 })
+	if got := gauge("scm_journal_live_records"); got != "2" {
+		t.Errorf("scm_journal_live_records = %s while the job runs, want 2 (accepted, running)", got)
+	}
+	if got, want := gauge("scm_journal_live_bytes"), fmt.Sprint(jnl.Stats().LiveBytes); got == "0" || got != want {
+		t.Errorf("scm_journal_live_bytes = %s while the job runs, want %s", got, want)
+	}
+	close(release)
+	<-j.Done()
+	waitUntil(t, "the terminal record", func() bool { return jnl.Stats().LiveRecords == 0 })
+	for _, name := range []string{"scm_journal_live_records", "scm_journal_live_bytes"} {
+		if got := gauge(name); got != "0" {
+			t.Errorf("%s = %s once every job is terminal, want 0", name, got)
+		}
+	}
+	if err := e.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

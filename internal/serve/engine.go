@@ -173,8 +173,8 @@ type Engine struct {
 	seq        int             // guarded by mu
 
 	// Durability state (zero-valued when Options.Journal is nil).
-	lastJournalErr   error     // guarded by mu
-	lastJournalErrAt time.Time // guarded by mu
+	lastJournalErr   error        // guarded by mu
+	lastJournalErrAt time.Time    // guarded by mu
 	journalAppends   atomic.Int64 // acknowledged appends, for the compaction cadence
 	compacting       atomic.Bool  // a background compaction is in flight
 
@@ -787,5 +787,7 @@ func (e *Engine) syncGauges() {
 		e.reg.Gauge("scm_journal_compactions", "journal compactions, boot-time and runtime").Set(float64(js.Compactions))
 		e.reg.Gauge("scm_journal_segments", "journal segments on disk").Set(float64(js.Segments))
 		e.reg.Gauge("scm_journal_bytes", "journal bytes on disk").Set(float64(js.Bytes))
+		e.reg.Gauge("scm_journal_live_records", "journal records a compaction keeps: live jobs' lifecycle records and newest checkpoints").Set(float64(js.LiveRecords))
+		e.reg.Gauge("scm_journal_live_bytes", "journal bytes a compaction keeps").Set(float64(js.LiveBytes))
 	}
 }
