@@ -282,8 +282,11 @@ func (o *observer) finishRun(r *stats.RunStats, batch int64) {
 }
 
 // record stamps the event with the executor's layer clock and forwards
-// it to the trace recorder.
+// it to the trace recorder, if any.
 func (e *executor) record(ev trace.Event) {
+	if e.rec == nil {
+		return
+	}
 	ev.Cycle = e.clock
 	e.rec.Record(ev)
 }
@@ -291,6 +294,9 @@ func (e *executor) record(ev trace.Event) {
 // recordSpan forwards an interval event (DMA transfer, layer span)
 // with an explicit start cycle and duration.
 func (e *executor) recordSpan(ev trace.Event, start, dur int64) {
+	if e.rec == nil {
+		return
+	}
 	ev.Cycle = start
 	ev.DurCycles = dur
 	e.rec.Record(ev)

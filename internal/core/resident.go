@@ -54,6 +54,9 @@ type consumptionPlan struct {
 	// sources[i] lists the physical producer indices layer i reads
 	// (duplicates preserved: reading the same fmap twice costs twice).
 	sources [][]int
+	// distinct[i] is sources[i] without duplicates, in first-appearance
+	// order.
+	distinct [][]int
 	// consumers[p] is the number of distinct physical layers reading
 	// p's feature map.
 	consumers []int
@@ -66,6 +69,7 @@ func buildConsumptionPlan(net *nn.Network) consumptionPlan {
 	n := len(net.Layers)
 	cp := consumptionPlan{
 		sources:   make([][]int, n),
+		distinct:  make([][]int, n),
 		consumers: make([]int, n),
 		lastUse:   make([]int, n),
 	}
@@ -100,7 +104,8 @@ func buildConsumptionPlan(net *nn.Network) consumptionPlan {
 			srcs = append(srcs, expand(net.Layer(in))...)
 		}
 		cp.sources[l.Index] = srcs
-		for _, p := range uniqueInts(srcs) {
+		cp.distinct[l.Index] = uniqueInts(srcs)
+		for _, p := range cp.distinct[l.Index] {
 			cp.consumers[p]++
 			if l.Index > cp.lastUse[p] {
 				cp.lastUse[p] = l.Index

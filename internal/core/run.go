@@ -79,7 +79,8 @@ type Footprint struct {
 }
 
 // NewRun builds a resumable run under a canonical strategy. rec and
-// reg may be nil (no trace, no metrics).
+// reg may be nil (no trace, no metrics); a trace.Nop rec is the same as
+// nil.
 func NewRun(net *nn.Network, cfg Config, strat Strategy, rec trace.Recorder, reg *metrics.Registry) (*Run, error) {
 	r, err := NewRunFeatures(net, cfg, strat.Features(), rec, reg)
 	if err != nil {
@@ -103,7 +104,7 @@ func NewRunFeatures(net *nn.Network, cfg Config, feat Features, rec trace.Record
 	if err != nil {
 		return nil, err
 	}
-	if rec != nil {
+	if _, nop := rec.(trace.Nop); rec != nil && !nop {
 		e.rec = &trace.Stamper{R: rec}
 	}
 	e.obs = newObserver(reg)
@@ -117,6 +118,7 @@ func NewRunFeatures(net *nn.Network, cfg Config, feat Features, rec trace.Record
 		Strategy: featureLabel(feat),
 		Batch:    cfg.Batch,
 		ClockMHz: cfg.PE.ClockMHz,
+		Layers:   make([]stats.LayerStats, 0, len(net.Layers)),
 	}
 	return &Run{e: e}, nil
 }

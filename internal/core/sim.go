@@ -122,8 +122,8 @@ type executor struct {
 	feat Features
 	pool *sram.Pool
 	ch   *dram.Channel
-	rec  *trace.Stamper
-	obs  *observer // nil when metrics are off
+	rec  *trace.Stamper // nil when tracing is off
+	obs  *observer      // nil when metrics are off
 	cp   consumptionPlan
 	fn   *funcState // non-nil in functional-verification mode
 
@@ -159,7 +159,7 @@ type executor struct {
 }
 
 // newExecutor builds the platform half of an executor (pool, channel,
-// nop trace); callers fill in the network, features, and plan.
+// no trace); callers fill in the network, features, and plan.
 func newExecutor(cfg Config) (*executor, error) {
 	pool, err := sram.NewPool(cfg.Pool)
 	if err != nil {
@@ -169,7 +169,7 @@ func newExecutor(cfg Config) (*executor, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &executor{cfg: cfg, pool: pool, ch: ch, rec: &trace.Stamper{R: trace.Nop{}}}
+	e := &executor{cfg: cfg, pool: pool, ch: ch}
 	if cfg.Compression != nil {
 		e.comp = cfg.Compression
 		ch.SetCompressor(cfg.Compression)
@@ -196,7 +196,7 @@ func (e *executor) planBudget(l *nn.Layer) tiling.Budget {
 	}
 	free := e.pool.FreeBytes()
 	var inOnChip int64
-	for _, p := range uniqueInts(e.cp.sources[l.Index]) {
+	for _, p := range e.cp.distinct[l.Index] {
 		inOnChip += e.residents[p].onChip
 	}
 	return tiling.Budget{IBuf: inOnChip + free, OBuf: free, WBuf: e.cfg.WeightBufBytes}
@@ -350,11 +350,13 @@ func (e *executor) evictOneBank(l *nn.Layer, distinct []int, outNext int) (bool,
 	return true, nil
 }
 
-// allocOutput forms the retained output buffer, growing bank by bank
-// and recycling consumed operand banks when the free pool (minus the
-// streaming reserve) runs out — and, under the EvictFarthest policy,
-// spilling colder pinned data. It returns the buffer (nil when nothing
-// could be retained), the retained bytes, and the recycled bank count.
+// allocOutput forms the retained output buffer. It takes the free banks
+// above the streaming reserve in one Alloc or Grow, then recycles
+// consumed operand banks one at a time — and, under the EvictFarthest
+// policy, spills colder pinned data — growing into each freed bank
+// before freeing the next, which keeps the bank order of a per-bank
+// loop. It returns the buffer (nil when nothing could be retained), the
+// retained bytes, and the recycled bank count.
 func (e *executor) allocOutput(l *nn.Layer, want int64, recycle []recyclable, distinct []int) (*sram.Buffer, int64, int64, error) {
 	if !e.feat.PartialRetention {
 		capacity := e.pool.FreeBytes() - int64(e.cfg.ReserveBanks)*e.bankBytes()
@@ -371,10 +373,10 @@ func (e *executor) allocOutput(l *nn.Layer, want int64, recycle []recyclable, di
 		recycled int64
 	)
 	for got < want {
-		if e.pool.FreeBanks() > e.cfg.ReserveBanks {
+		if avail := e.pool.FreeBanks() - e.cfg.ReserveBanks; avail > 0 {
 			chunk := want - got
-			if chunk > e.bankBytes() {
-				chunk = e.bankBytes()
+			if limit := int64(avail) * e.bankBytes(); chunk > limit {
+				chunk = limit
 			}
 			if buf == nil {
 				b, err := e.pool.Alloc(sram.RoleOutput, l.Name, chunk)
@@ -521,7 +523,7 @@ func (e *executor) execLayer(l *nn.Layer) error {
 	}
 
 	srcs := e.cp.sources[l.Index]
-	distinct := uniqueInts(srcs)
+	distinct := e.cp.distinct[l.Index]
 
 	// Operands at their final read are unpinned so the add can recycle
 	// their banks and the epilogue can free them.
@@ -735,9 +737,11 @@ func (e *executor) execLayer(l *nn.Layer) error {
 	ls.SRAMBytes = 2 * (inTotal + outBytes + plan.WeightReadBytes)
 	e.run.Layers = append(e.run.Layers, ls)
 	e.obs.layerDone(ls)
-	e.recordSpan(trace.Event{Kind: trace.KindLayerEnd, Layer: l.Name, Bytes: delta.Total(),
-		Banks: e.pool.UsedBanks(), Pinned: e.pool.PinnedBanks(),
-		Note: fmt.Sprintf("pinned=%d", e.pool.PinnedBanks())}, e.clock+ls.Cycles, ls.Cycles)
+	if e.rec != nil {
+		e.recordSpan(trace.Event{Kind: trace.KindLayerEnd, Layer: l.Name, Bytes: delta.Total(),
+			Banks: e.pool.UsedBanks(), Pinned: e.pool.PinnedBanks(),
+			Note: fmt.Sprintf("pinned=%d", e.pool.PinnedBanks())}, e.clock+ls.Cycles, ls.Cycles)
+	}
 	e.clock += ls.Cycles
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"shortcutmining/internal/nn"
 	"shortcutmining/internal/sram"
 	"shortcutmining/internal/stats"
-	"shortcutmining/internal/trace"
 )
 
 // SnapshotVersion is the RunSnapshot wire-format version. Decoders
@@ -91,7 +90,8 @@ type ResidentSnapshot struct {
 // Snapshot captures the state of a suspended run. It errors on runs
 // that are not suspended, already finished or failed, or that carry
 // un-serializable attachments (trace recorder, metrics registry,
-// fault injection, functional verification).
+// fault injection, functional verification). An explicit trace.Nop
+// recorder emits nothing and does not count as an attachment.
 func (r *Run) Snapshot() (*RunSnapshot, error) {
 	name := r.e.net.Name
 	switch {
@@ -108,7 +108,7 @@ func (r *Run) Snapshot() (*RunSnapshot, error) {
 	case r.e.obs != nil:
 		return nil, fmt.Errorf("core: %s: observed runs cannot be snapshotted (registry state lives outside the run)", name)
 	}
-	if _, nop := r.e.rec.R.(trace.Nop); !nop {
+	if r.e.rec != nil {
 		return nil, fmt.Errorf("core: %s: traced runs cannot be snapshotted (emitted events cannot be rebuilt)", name)
 	}
 	snap := &RunSnapshot{

@@ -127,6 +127,51 @@ func TestSnapshotSchedLedgerSurvives(t *testing.T) {
 	}
 }
 
+// TestSnapshotExplicitNop: an explicit trace.Nop{} recorder emits
+// nothing, so the run counts as untraced — it snapshots, and the
+// restored run finishes bit-identical to an uninterrupted one. (A
+// recording trace.Buffer is still refused; see TestSnapshotRefusals.)
+func TestSnapshotExplicitNop(t *testing.T) {
+	net := nn.MustBuild("resnet18")
+	cfg := Default()
+	want, err := Simulate(net, cfg, SCM, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRun(net, cfg, SCM, trace.Nop{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r.NextLayer() < r.NumLayers()/2 {
+		if _, err := r.Step(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := r.Suspend(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := r.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot of a trace.Nop run: %v", err)
+	}
+	r, err = RestoreRun(net, cfg, roundtrip(t, snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for done := false; !done; {
+		if done, err = r.Step(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := r.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := runJSON(t, got), runJSON(t, want); g != w {
+		t.Errorf("restored trace.Nop run drifted\n got %s\nwant %s", g, w)
+	}
+}
+
 // TestSnapshotRefusals pins the attachment and lifecycle guards.
 func TestSnapshotRefusals(t *testing.T) {
 	net := nn.MustBuild("plain34")

@@ -107,7 +107,10 @@ func (c Config) Validate() error {
 
 // Buffer is a logical buffer: an ordered list of banks holding one
 // feature map (or a retained prefix of one). Buffers are created and
-// owned by a Pool; the zero value is not usable.
+// owned by a Pool; the zero value is not usable. A buffer owns its bank
+// slice exclusively — Banks returns a copy and Merge builds a fresh
+// one — so releasing and growing reslice it in place without
+// allocating.
 type Buffer struct {
 	pool   *Pool
 	id     int
@@ -270,12 +273,17 @@ func (p *Pool) Buffers() []*Buffer {
 	return out
 }
 
+// pop takes the most recently freed bank off the free list.
+func (p *Pool) pop() int {
+	bank := p.free[len(p.free)-1]
+	p.free = p.free[:len(p.free)-1]
+	return bank
+}
+
 func (p *Pool) grab(n int) []int {
 	banks := make([]int, n)
-	for i := 0; i < n; i++ {
-		bank := p.free[len(p.free)-1]
-		p.free = p.free[:len(p.free)-1]
-		banks[i] = bank
+	for i := range banks {
+		banks[i] = p.pop()
 	}
 	return banks
 }
@@ -412,7 +420,7 @@ func (p *Pool) RelocateBank(b *Buffer, bank int) error {
 	if pos < 0 {
 		return fmt.Errorf("sram: bank %d not owned by %q", bank, b.tag)
 	}
-	spare := p.grab(1)[0]
+	spare := p.pop()
 	b.banks[pos] = spare
 	p.owner[spare] = b.id
 	p.owner[bank] = -1
@@ -520,7 +528,7 @@ func (p *Pool) ReleaseBanks(b *Buffer, n int) error {
 		p.owner[bank] = -1
 		p.free = append(p.free, bank)
 	}
-	b.banks = append([]int(nil), b.banks[n:]...)
+	b.banks = b.banks[n:]
 	released := int64(n) * int64(p.cfg.BankBytes)
 	if b.bytes > released {
 		b.bytes -= released
@@ -556,7 +564,7 @@ func (p *Pool) ReleaseTailBanks(b *Buffer, n int) error {
 		p.owner[bank] = -1
 		p.free = append(p.free, bank)
 	}
-	b.banks = append([]int(nil), b.banks[:keep]...)
+	b.banks = b.banks[:keep]
 	if c := b.CapacityBytes(); b.bytes > c {
 		b.bytes = c
 	}
@@ -593,7 +601,7 @@ func (p *Pool) Grow(b *Buffer, bytes int64) (int64, error) {
 		bytes -= spare
 	}
 	for bytes > 0 && len(p.free) > 0 {
-		bank := p.grab(1)[0]
+		bank := p.pop()
 		p.owner[bank] = b.id
 		b.banks = append(b.banks, bank)
 		if b.pinned {

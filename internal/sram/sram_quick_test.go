@@ -2,6 +2,7 @@ package sram
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -19,12 +20,19 @@ const (
 	opPin
 	opUnpin
 	opRelease
+	opReleaseTail // tail release, then regrowth
+	opReleaseGrow // head release, then regrowth
+	opGrow
+	opMerge
 	opCount
 )
 
 // applyOps replays a random operation tape against a fresh pool and
-// checks invariants after every step. It returns an error describing
-// the first violation.
+// checks invariants after every step. Buffers reslice their bank lists
+// in place, so every step also checks for aliasing: Banks() copies taken
+// before the step must not change, and buffers the step does not touch
+// must keep their layout. It returns an error describing the first
+// violation.
 func applyOps(numBanks, bankBytes int, tape []byte) error {
 	p, err := NewPool(Config{NumBanks: numBanks, BankBytes: bankBytes})
 	if err != nil {
@@ -45,8 +53,66 @@ func applyOps(numBanks, bankBytes int, tape []byte) error {
 			}
 		}
 	}
+	// grow extends b and checks that its existing layout is a prefix of
+	// the grown one.
+	grow := func(b *Buffer, arg byte) error {
+		prev := b.Banks()
+		if _, err := p.Grow(b, int64(arg%5)*int64(bankBytes)/2+1); err != nil {
+			return err
+		}
+		if got := b.Banks(); !slices.Equal(got[:len(prev)], prev) {
+			return fmt.Errorf("grow rewrote layout %v into %v", prev, got)
+		}
+		return p.CheckInvariants()
+	}
+	// releaseThenGrow applies a head or tail release, checks the
+	// surviving layout, and grows the survivor back into the pool.
+	releaseThenGrow := func(b *Buffer, arg byte, tail bool) error {
+		prev := b.Banks()
+		n := int(arg) % (len(prev) + 1)
+		keep := prev[n:]
+		var err error
+		if tail {
+			keep = prev[:len(prev)-n]
+			err = p.ReleaseTailBanks(b, n)
+		} else {
+			err = p.ReleaseBanks(b, n)
+		}
+		if err != nil {
+			return err
+		}
+		if b.Freed() {
+			drop(b)
+			return nil
+		}
+		if got := b.Banks(); !slices.Equal(got, keep) {
+			return fmt.Errorf("release(%d, tail=%v) of %v left %v", n, tail, prev, got)
+		}
+		if err := p.CheckInvariants(); err != nil {
+			return err
+		}
+		return grow(b, arg)
+	}
+	type bankCopy struct {
+		buf     *Buffer
+		view    []int // returned by Banks() before the step
+		want    []int // private duplicate of view
+		touched bool  // the step may change this buffer's layout
+	}
 	for i := 0; i+1 < len(tape); i += 2 {
 		op, arg := opCode(tape[i])%opCount, tape[i+1]
+		copies := make([]bankCopy, len(live))
+		for j, b := range live {
+			c := b.Banks()
+			copies[j] = bankCopy{buf: b, view: c, want: slices.Clone(c)}
+		}
+		touch := func(b *Buffer) {
+			for j := range copies {
+				if copies[j].buf == b {
+					copies[j].touched = true
+				}
+			}
+		}
 		switch op {
 		case opAlloc:
 			bytes := int64(arg%7+1) * int64(bankBytes) / 2
@@ -92,6 +158,7 @@ func applyOps(numBanks, bankBytes int, tape []byte) error {
 			}
 		case opRelease:
 			if b := pick(arg); b != nil && !b.Pinned() {
+				touch(b)
 				n := int(arg) % (b.NumBanks() + 1)
 				if err := p.ReleaseBanks(b, n); err != nil {
 					return fmt.Errorf("step %d: %v", i, err)
@@ -99,6 +166,46 @@ func applyOps(numBanks, bankBytes int, tape []byte) error {
 				if b.Freed() {
 					drop(b)
 				}
+			}
+		case opReleaseTail, opReleaseGrow:
+			if b := pick(arg); b != nil && !b.Pinned() {
+				touch(b)
+				if err := releaseThenGrow(b, arg, op == opReleaseTail); err != nil {
+					return fmt.Errorf("step %d: %v", i, err)
+				}
+			}
+		case opGrow:
+			if b := pick(arg); b != nil {
+				touch(b)
+				if err := grow(b, arg); err != nil {
+					return fmt.Errorf("step %d: %v", i, err)
+				}
+			}
+		case opMerge:
+			a, b := pick(arg), pick(arg/3)
+			if a == nil || a == b || a.Pinned() || b.Pinned() {
+				break
+			}
+			touch(a)
+			touch(b)
+			want := append(a.Banks(), b.Banks()...)
+			m, err := p.Merge(RoleOutput, fmt.Sprintf("m%d", i), a, b)
+			if err != nil {
+				return fmt.Errorf("step %d: %v", i, err)
+			}
+			if got := m.Banks(); !slices.Equal(got, want) {
+				return fmt.Errorf("step %d: merge layout %v, want %v", i, got, want)
+			}
+			drop(a)
+			drop(b)
+			live = append(live, m)
+		}
+		for _, c := range copies {
+			if !slices.Equal(c.view, c.want) {
+				return fmt.Errorf("step %d (op %d): Banks() copy of %q changed from %v to %v", i, op, c.buf.Tag(), c.want, c.view)
+			}
+			if !c.touched && !c.buf.Freed() && !slices.Equal(c.buf.Banks(), c.want) {
+				return fmt.Errorf("step %d (op %d): untouched buffer %q moved from %v to %v", i, op, c.buf.Tag(), c.want, c.buf.Banks())
 			}
 		}
 		if err := p.CheckInvariants(); err != nil {
@@ -213,5 +320,46 @@ func TestQuickReleasePreservesSuffix(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBankMovesAllocateNothing pins the per-bank pool moves of P4
+// recycling as allocation-free: growing an existing buffer by one bank
+// and releasing one head bank only reslice the buffer's own bank list
+// and the pool's free list.
+func TestBankMovesAllocateNothing(t *testing.T) {
+	const bank = 1024
+	p, err := NewPool(Config{NumBanks: 96, BankBytes: bank})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := p.Alloc(RoleRetained, "shortcut", 40*bank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An output that once held 41 banks keeps the capacity to regrow.
+	out, err := p.Alloc(RoleOutput, "out", 41*bank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.ReleaseTailBanks(out, 40); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if err := p.ReleaseBanks(src, 1); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("ReleaseBanks(b, 1): %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if added, err := p.Grow(out, bank); err != nil || added != bank {
+			t.Fatalf("Grow: added %d, err %v", added, err)
+		}
+	}); n != 0 {
+		t.Errorf("Grow of one bank: %v allocs, want 0", n)
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
