@@ -83,20 +83,26 @@ func TestHTTPSimulateEndToEnd(t *testing.T) {
 	}
 }
 
+// badRequest is one row of a bad-request table; the tables are shared
+// with the HTTP golden, which pins every reply body.
+type badRequest struct{ name, body string }
+
+var simulateBadRequests = []badRequest{
+	{"no network", `{}`},
+	{"both network and graph", `{"network":"resnet18","graph":{}}`},
+	{"unknown zoo name", `{"network":"alexnet-9000"}`},
+	{"bad strategy", `{"network":"resnet18","strategy":"turbo"}`},
+	{"unknown field", `{"network":"resnet18","bogus":1}`},
+	{"malformed json", `{`},
+}
+
 func TestHTTPSimulateBadRequests(t *testing.T) {
 	e := NewEngine(Options{Workers: 1})
 	defer e.Drain(context.Background())
 	srv := httptest.NewServer(NewHandler(e))
 	defer srv.Close()
 
-	for _, tc := range []struct{ name, body string }{
-		{"no network", `{}`},
-		{"both network and graph", `{"network":"resnet18","graph":{}}`},
-		{"unknown zoo name", `{"network":"alexnet-9000"}`},
-		{"bad strategy", `{"network":"resnet18","strategy":"turbo"}`},
-		{"unknown field", `{"network":"resnet18","bogus":1}`},
-		{"malformed json", `{`},
-	} {
+	for _, tc := range simulateBadRequests {
 		resp, raw := postJSON(t, srv, "/v1/simulate", tc.body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, body %s", tc.name, resp.StatusCode, raw)

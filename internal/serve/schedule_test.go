@@ -98,6 +98,16 @@ func TestHTTPScheduleScenarioBody(t *testing.T) {
 	}
 }
 
+var scheduleBadRequests = []badRequest{
+	{"empty", `{}`},
+	{"both", `{"spec":"stream=densechain:","scenario":{"streams":[{"network":"densechain","requests":1}]}}`},
+	{"bad grammar", `{"spec":"policy=lifo;stream=densechain:"}`},
+	{"unknown net", `{"spec":"stream=notanet:n=1"}`},
+	{"no streams", `{"scenario":{"seed":1}}`},
+	{"unknown field", `{"specs":"stream=densechain:"}`},
+	{"zero requests", `{"spec":"stream=densechain:n=0"}`},
+}
+
 // TestHTTPScheduleBadRequests pins the 400 paths.
 func TestHTTPScheduleBadRequests(t *testing.T) {
 	e := NewEngine(Options{Workers: 1})
@@ -105,15 +115,8 @@ func TestHTTPScheduleBadRequests(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(e))
 	defer srv.Close()
 
-	for name, body := range map[string]string{
-		"empty":         `{}`,
-		"both":          `{"spec":"stream=densechain:","scenario":{"streams":[{"network":"densechain","requests":1}]}}`,
-		"bad grammar":   `{"spec":"policy=lifo;stream=densechain:"}`,
-		"unknown net":   `{"spec":"stream=notanet:n=1"}`,
-		"no streams":    `{"scenario":{"seed":1}}`,
-		"unknown field": `{"specs":"stream=densechain:"}`,
-		"zero requests": `{"spec":"stream=densechain:n=0"}`,
-	} {
+	for _, tc := range scheduleBadRequests {
+		name, body := tc.name, tc.body
 		resp, raw := postJSON(t, srv, "/v1/schedule", body)
 		if name == "unknown net" {
 			// The network name is resolved when the job runs; submission

@@ -54,6 +54,14 @@ func TestHTTPClusterAsync(t *testing.T) {
 	}
 }
 
+var clusterBadRequests = []badRequest{
+	{"empty", `{}`},
+	{"single chip", `{"spec":"stream=squeezenet:n=1"}`},
+	{"bad topology", `{"spec":"chips=2;topo=torus;stream=squeezenet:n=1"}`},
+	{"bad grammar", `{"spec":"chips=two;stream=squeezenet:n=1"}`},
+	{"both", `{"spec":"chips=2;stream=squeezenet:n=1","scenario":{"chips":2,"streams":[{"network":"squeezenet","requests":1}]}}`},
+}
+
 // TestHTTPClusterBadRequests pins the 400 paths of /v1/cluster.
 func TestHTTPClusterBadRequests(t *testing.T) {
 	e := NewEngine(Options{Workers: 1})
@@ -61,13 +69,8 @@ func TestHTTPClusterBadRequests(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(e))
 	defer srv.Close()
 
-	for name, body := range map[string]string{
-		"empty":        `{}`,
-		"single chip":  `{"spec":"stream=squeezenet:n=1"}`,
-		"bad topology": `{"spec":"chips=2;topo=torus;stream=squeezenet:n=1"}`,
-		"bad grammar":  `{"spec":"chips=two;stream=squeezenet:n=1"}`,
-		"both":         `{"spec":"chips=2;stream=squeezenet:n=1","scenario":{"chips":2,"streams":[{"network":"squeezenet","requests":1}]}}`,
-	} {
+	for _, tc := range clusterBadRequests {
+		name, body := tc.name, tc.body
 		resp, raw := postJSON(t, srv, "/v1/cluster", body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400 (body %s)", name, resp.StatusCode, raw)
