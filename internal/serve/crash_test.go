@@ -217,13 +217,13 @@ func TestCrashRecoveryE2E(t *testing.T) {
 		if v.State != JobDone {
 			continue // interrupted pre-checkpoint: classified, not comparable
 		}
-		var doc payloadDoc
-		if err := json.Unmarshal(rec.Payload, &doc); err != nil {
+		_, decoded, err := decodePayload(&rec)
+		if err != nil {
 			t.Fatalf("job %s payload: %v", id, err)
 		}
-		req, err := decodeSimPayload(doc, "")
-		if err != nil {
-			t.Fatalf("job %s request: %v", id, err)
+		req, ok := decoded.(Request)
+		if !ok {
+			t.Fatalf("job %s request: payload decoded to %T", id, decoded)
 		}
 		direct, err := core.SimulateContext(context.Background(), req.Net, req.Cfg, req.Strategy, nil)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"strconv"
 	"time"
 
@@ -69,41 +70,19 @@ func (e *Engine) maybeCompactJournal() {
 	}()
 }
 
-// journalJob writes one lifecycle record for j.
-func (e *Engine) journalJob(j *Job, op journal.Op, layer int, reason string, payload []byte) {
-	if e.opts.Journal == nil {
-		return
-	}
-	e.journalAppend(journal.Record{
-		Job: j.id, Op: op, Kind: j.kind, RequestID: j.reqID,
-		Layer: layer, Reason: reason, Payload: payload,
-	})
+// journalJob writes one lifecycle record for j; rec supplies the op
+// and its op-specific fields.
+func (e *Engine) journalJob(j *Job, rec journal.Record) {
+	rec.Job, rec.Kind, rec.RequestID = j.id, j.kind, j.reqID
+	e.journalAppend(rec)
 }
 
 // journalTerminal writes j's terminal record, whichever outcome it
-// reached.
+// reached. A terminal JobState spells its journal op.
 func (e *Engine) journalTerminal(j *Job) {
-	if e.opts.Journal == nil {
-		return
+	if state, errMsg, reason := j.status(); state.Terminal() {
+		e.journalJob(j, journal.Record{Op: journal.Op(state), Error: errMsg, Reason: reason})
 	}
-	state, errMsg, reason := j.status()
-	var op journal.Op
-	switch state {
-	case JobDone:
-		op = journal.OpDone
-	case JobFailed:
-		op = journal.OpFailed
-	case JobCanceled:
-		op = journal.OpCanceled
-	case JobInterrupted:
-		op = journal.OpInterrupted
-	default:
-		return // not terminal; nothing to record
-	}
-	e.journalAppend(journal.Record{
-		Job: j.id, Op: op, Kind: j.kind, RequestID: j.reqID,
-		Error: errMsg, Reason: reason,
-	})
 }
 
 // Health reports the engine's readiness: "ok", "degraded" (still
@@ -137,18 +116,10 @@ func (e *Engine) checkpointable(req Request) bool {
 		!req.Observe && req.Cfg.Faults.Empty()
 }
 
-// execCheckpointed is exec for the durable path: the simulation runs
-// through the core.Run resumable API, suspending and snapshotting into
-// a journal checkpoint record every CheckpointLayers boundaries. snap,
-// when non-nil, continues a previously journaled checkpoint.
-func (e *Engine) execCheckpointed(ctx context.Context, req Request, j *Job, snap *core.RunSnapshot) (stats.RunStats, error) {
-	start := e.clock()
-	res, err := e.runCheckpointed(ctx, req, j, snap)
-	e.mJobSeconds.Observe(e.clock().Sub(start).Seconds())
-	e.countOutcome(err)
-	return res, err
-}
-
+// runCheckpointed runs a simulation through the core.Run resumable
+// API, suspending and snapshotting into a journal checkpoint record
+// every CheckpointLayers boundaries. snap, when non-nil, continues a
+// previously journaled checkpoint.
 func (e *Engine) runCheckpointed(ctx context.Context, req Request, j *Job, snap *core.RunSnapshot) (stats.RunStats, error) {
 	var r *core.Run
 	var err error
@@ -190,7 +161,7 @@ func (e *Engine) runCheckpointed(ctx context.Context, req Request, j *Job, snap 
 				e.logger.Error("checkpoint snapshot failed; crash-resume coverage lost for this interval",
 					"job", j.id, "layer", r.NextLayer(), "error", cpErr)
 			} else {
-				e.journalJob(j, journal.OpCheckpoint, cp.Next, "", b)
+				e.journalJob(j, journal.Record{Op: journal.OpCheckpoint, Layer: cp.Next, Payload: b})
 				e.mCheckpoints.Inc()
 			}
 			e.opts.Chaos.Hit("checkpoint")
@@ -220,146 +191,55 @@ type payloadDoc struct {
 	Scenario *sched.Spec `json:"scenario,omitempty"`
 }
 
-// encodePayload marshals a payload document. The (doc, err) signature
-// lets call sites write encodePayload(simPayload(req)) — but Go
-// evaluates arguments eagerly, so the sites themselves guard the whole
-// call with Options.Journal != nil; that guard, not the backstop check
-// here, is what skips the graph+config encode when nothing would be
-// journaled.
-func (e *Engine) encodePayload(doc payloadDoc, err error) ([]byte, error) {
-	if e.opts.Journal == nil {
-		return nil, nil
-	}
+// encodePayload renders req as its kind's accepted-record payload.
+func encodePayload(k *jobKind, req any) ([]byte, error) {
+	doc, err := k.encode(req)
 	if err != nil {
 		return nil, fmt.Errorf("serve: encoding journal payload: %w", err)
 	}
 	return json.Marshal(doc)
 }
 
+// decodePayload rebuilds the request an accepted record journaled,
+// through the row of the record's kind.
+func decodePayload(accepted *journal.Record) (*jobKind, any, error) {
+	if accepted == nil || accepted.Payload == nil {
+		return nil, nil, fmt.Errorf("no accepted payload journaled")
+	}
+	var doc payloadDoc
+	if err := json.Unmarshal(accepted.Payload, &doc); err != nil {
+		return nil, nil, fmt.Errorf("decoding accepted payload: %w", err)
+	}
+	k, ok := jobKinds[accepted.Kind]
+	if !ok {
+		return nil, nil, fmt.Errorf("unknown job kind %q", accepted.Kind)
+	}
+	req, err := k.decode(doc, accepted.RequestID)
+	return k, req, err
+}
+
+// encodeWith renders v through one of the model packages' canonical
+// JSON encoders.
+func encodeWith[T any](encode func(io.Writer, T) error, v T) (json.RawMessage, error) {
+	var b bytes.Buffer
+	err := encode(&b, v)
+	return b.Bytes(), err
+}
+
 func encodeGraphConfig(net *nn.Network, cfg core.Config) (json.RawMessage, json.RawMessage, error) {
-	var g, c bytes.Buffer
-	if err := nn.EncodeJSON(&g, net); err != nil {
+	g, err := encodeWith(nn.EncodeJSON, net)
+	if err != nil {
 		return nil, nil, err
 	}
-	if err := core.EncodeConfigJSON(&c, cfg); err != nil {
-		return nil, nil, err
-	}
-	return g.Bytes(), c.Bytes(), nil
-}
-
-func simPayload(req Request) (payloadDoc, error) {
-	g, c, err := encodeGraphConfig(req.Net, req.Cfg)
-	if err != nil {
-		return payloadDoc{}, err
-	}
-	return payloadDoc{Graph: g, Config: c, Strategy: req.Strategy.String(), Observe: req.Observe}, nil
-}
-
-func sweepPayload(req SweepRequest) (payloadDoc, error) {
-	g, c, err := encodeGraphConfig(req.Net, req.Base)
-	if err != nil {
-		return payloadDoc{}, err
-	}
-	space := req.Space
-	return payloadDoc{Graph: g, Config: c, Space: &space, Parallel: req.Parallel, Pareto: req.Pareto}, nil
-}
-
-func schedulePayload(req ScheduleRequest) (payloadDoc, error) {
-	var c bytes.Buffer
-	if err := core.EncodeConfigJSON(&c, req.Cfg); err != nil {
-		return payloadDoc{}, err
-	}
-	return payloadDoc{Config: json.RawMessage(c.Bytes()), Scenario: req.Spec}, nil
-}
-
-func clusterPayload(req ClusterRequest) (payloadDoc, error) {
-	var c bytes.Buffer
-	if err := core.EncodeConfigJSON(&c, req.Cfg); err != nil {
-		return payloadDoc{}, err
-	}
-	return payloadDoc{Config: json.RawMessage(c.Bytes()), Scenario: req.Spec}, nil
+	c, err := encodeWith(core.EncodeConfigJSON, cfg)
+	return g, c, err
 }
 
 func decodeGraphConfig(doc payloadDoc) (*nn.Network, core.Config, error) {
 	if doc.Graph == nil {
 		return nil, core.Config{}, fmt.Errorf("payload has no network graph")
 	}
-	net, err := nn.DecodeJSON(bytes.NewReader(doc.Graph))
-	if err != nil {
-		return nil, core.Config{}, err
-	}
-	cfg := core.Default()
-	if doc.Config != nil {
-		if cfg, err = core.DecodeConfigJSON(bytes.NewReader(doc.Config)); err != nil {
-			return nil, core.Config{}, err
-		}
-	}
-	return net, cfg, nil
-}
-
-func decodeSimPayload(doc payloadDoc, reqID string) (Request, error) {
-	net, cfg, err := decodeGraphConfig(doc)
-	if err != nil {
-		return Request{}, err
-	}
-	strat := core.SCM
-	if doc.Strategy != "" {
-		if strat, err = core.ParseStrategy(doc.Strategy); err != nil {
-			return Request{}, err
-		}
-	}
-	return Request{Net: net, Cfg: cfg, Strategy: strat, Observe: doc.Observe, RequestID: reqID}, nil
-}
-
-func decodeSweepPayload(doc payloadDoc, reqID string) (SweepRequest, error) {
-	net, cfg, err := decodeGraphConfig(doc)
-	if err != nil {
-		return SweepRequest{}, err
-	}
-	if doc.Space == nil || doc.Space.Size() == 0 {
-		return SweepRequest{}, fmt.Errorf("payload has no design space")
-	}
-	return SweepRequest{
-		Net: net, Base: cfg, Space: *doc.Space,
-		Parallel: doc.Parallel, Pareto: doc.Pareto, RequestID: reqID,
-	}, nil
-}
-
-func decodeSchedulePayload(doc payloadDoc, reqID string) (ScheduleRequest, error) {
-	if doc.Scenario == nil {
-		return ScheduleRequest{}, fmt.Errorf("payload has no scenario")
-	}
-	if err := doc.Scenario.Validate(); err != nil {
-		return ScheduleRequest{}, err
-	}
-	cfg := core.Default()
-	if doc.Config != nil {
-		var err error
-		if cfg, err = core.DecodeConfigJSON(bytes.NewReader(doc.Config)); err != nil {
-			return ScheduleRequest{}, err
-		}
-	}
-	return ScheduleRequest{Cfg: cfg, Spec: doc.Scenario, RequestID: reqID}, nil
-}
-
-func decodeClusterPayload(doc payloadDoc, reqID string) (ClusterRequest, error) {
-	if doc.Scenario == nil {
-		return ClusterRequest{}, fmt.Errorf("payload has no scenario")
-	}
-	if err := doc.Scenario.Validate(); err != nil {
-		return ClusterRequest{}, err
-	}
-	if doc.Scenario.Chips < 2 {
-		return ClusterRequest{}, fmt.Errorf("cluster payload has chips=%d", doc.Scenario.Chips)
-	}
-	cfg := core.Default()
-	if doc.Config != nil {
-		var err error
-		if cfg, err = core.DecodeConfigJSON(bytes.NewReader(doc.Config)); err != nil {
-			return ClusterRequest{}, err
-		}
-	}
-	return ClusterRequest{Cfg: cfg, Spec: doc.Scenario, RequestID: reqID}, nil
+	return netBody{Graph: doc.Graph, Config: doc.Config}.resolve()
 }
 
 // RecoveryReport summarizes what Recover did with the replayed
@@ -402,19 +282,6 @@ func jobSeq(id string) (int, bool) {
 	return n, true
 }
 
-func stateForOp(op journal.Op) JobState {
-	switch op {
-	case journal.OpDone:
-		return JobDone
-	case journal.OpFailed:
-		return JobFailed
-	case journal.OpCanceled:
-		return JobCanceled
-	default:
-		return JobInterrupted
-	}
-}
-
 // adoptJob builds a queued job under a recovered ID instead of
 // allocating a fresh one, so clients polling a pre-crash job ID keep
 // working.
@@ -436,7 +303,7 @@ func (e *Engine) insertRestored(j *Job) {
 // restoreTerminalJob rebuilds a terminal job from its last record.
 func (e *Engine) restoreTerminalJob(id string, last journal.Record) {
 	j := &Job{id: id, kind: last.Kind, reqID: last.RequestID, clock: e.clock,
-		state: stateForOp(last.Op), errMsg: last.Error, reason: last.Reason,
+		state: JobState(last.Op), errMsg: last.Error, reason: last.Reason,
 		created: last.Time, finished: last.Time, done: make(chan struct{})}
 	e.insertRestored(j)
 }
@@ -537,8 +404,8 @@ func (e *Engine) Recover(records []journal.Record) (RecoveryReport, error) {
 			rep.Restored++
 			outcome("restored").Inc()
 		case rp.last.Op == journal.OpRunning:
-			if rp.checkpoint != nil && rp.last.Kind == "simulate" {
-				if err := e.resumeJob(id, rp); err == nil {
+			if rp.checkpoint != nil {
+				if err := e.requeueJob(id, rp, rp.checkpoint); err == nil {
 					rep.Resumed++
 					outcome("resumed").Inc()
 					continue
@@ -550,7 +417,7 @@ func (e *Engine) Recover(records []journal.Record) (RecoveryReport, error) {
 			rep.Interrupted++
 			outcome("interrupted").Inc()
 		default: // accepted, never started
-			if err := e.requeueJob(id, rp); err != nil {
+			if err := e.requeueJob(id, rp, nil); err != nil {
 				e.logger.Error("requeue failed; classifying interrupted", "job", id, "error", err)
 				e.interruptJob(id, rp.last, fmt.Sprintf("accepted job could not be re-enqueued: %v", err))
 				rep.Interrupted++
@@ -564,81 +431,30 @@ func (e *Engine) Recover(records []journal.Record) (RecoveryReport, error) {
 	return rep, nil
 }
 
-// acceptedDoc decodes a job's accepted-record payload.
-func acceptedDoc(rp *jobReplay) (payloadDoc, error) {
-	var doc payloadDoc
-	if rp.accepted == nil || rp.accepted.Payload == nil {
-		return doc, fmt.Errorf("no accepted payload journaled")
-	}
-	if err := json.Unmarshal(rp.accepted.Payload, &doc); err != nil {
-		return doc, fmt.Errorf("decoding accepted payload: %w", err)
-	}
-	return doc, nil
-}
-
-// requeueJob re-enqueues an accepted-but-unstarted job from its
-// journaled payload, under its original ID.
-func (e *Engine) requeueJob(id string, rp *jobReplay) error {
-	doc, err := acceptedDoc(rp)
+// requeueJob re-admits a recovered job under its original ID from its
+// journaled payload. With a checkpoint, a simulation continues from
+// that layer boundary instead of recomputing from layer 0.
+func (e *Engine) requeueJob(id string, rp *jobReplay, checkpoint *journal.Record) error {
+	k, req, err := decodePayload(rp.accepted)
 	if err != nil {
 		return err
 	}
-	reqID := rp.accepted.RequestID
-	j := e.adoptJob(id, rp.accepted.Kind, reqID)
-	var task func(ctx context.Context)
-	switch rp.accepted.Kind {
-	case "simulate":
-		req, err := decodeSimPayload(doc, reqID)
-		if err != nil {
+	j := e.adoptJob(id, k.name, rp.accepted.RequestID)
+	run := func(ctx context.Context) (View, error) { return k.run(e, ctx, j, req) }
+	if checkpoint != nil {
+		r, ok := req.(Request)
+		if !ok {
+			return fmt.Errorf("checkpoint on a %s job", k.name)
+		}
+		var snap core.RunSnapshot
+		if err := json.Unmarshal(checkpoint.Payload, &snap); err != nil {
+			return fmt.Errorf("decoding checkpoint: %w", err)
+		}
+		if err := snap.Validate(r.Net); err != nil {
 			return err
 		}
-		task = e.simTask(req, j, nil)
-	case "sweep":
-		req, err := decodeSweepPayload(doc, reqID)
-		if err != nil {
-			return err
-		}
-		task = e.sweepTask(req, j)
-	case "schedule":
-		req, err := decodeSchedulePayload(doc, reqID)
-		if err != nil {
-			return err
-		}
-		task = e.scheduleTask(req, j)
-	case "cluster":
-		req, err := decodeClusterPayload(doc, reqID)
-		if err != nil {
-			return err
-		}
-		task = e.clusterTask(req, j)
-	default:
-		return fmt.Errorf("unknown job kind %q", rp.accepted.Kind)
+		run = func(ctx context.Context) (View, error) { return e.runSimulate(ctx, j, r, &snap) }
 	}
-	_, err = e.admit(j, rp.accepted.Payload, task)
-	return err
-}
-
-// resumeJob restores a checkpointed simulate job: the journaled
-// core.RunSnapshot continues from its layer boundary instead of
-// recomputing from layer 0.
-func (e *Engine) resumeJob(id string, rp *jobReplay) error {
-	doc, err := acceptedDoc(rp)
-	if err != nil {
-		return err
-	}
-	reqID := rp.accepted.RequestID
-	req, err := decodeSimPayload(doc, reqID)
-	if err != nil {
-		return err
-	}
-	var snap core.RunSnapshot
-	if err := json.Unmarshal(rp.checkpoint.Payload, &snap); err != nil {
-		return fmt.Errorf("decoding checkpoint: %w", err)
-	}
-	if err := snap.Validate(req.Net); err != nil {
-		return err
-	}
-	j := e.adoptJob(id, "simulate", reqID)
-	_, err = e.admit(j, rp.accepted.Payload, e.simTask(req, j, &snap))
+	_, err = e.admit(j, rp.accepted.Payload, run)
 	return err
 }

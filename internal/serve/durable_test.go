@@ -116,12 +116,12 @@ func TestJournalLifecycleWriteThrough(t *testing.T) {
 	if trail[0].Payload == nil {
 		t.Fatal("accepted record has no payload")
 	}
-	var doc payloadDoc
-	if err := json.Unmarshal(trail[0].Payload, &doc); err != nil {
-		t.Fatalf("accepted payload: %v", err)
-	}
-	if _, err := decodeSimPayload(doc, ""); err != nil {
+	k, decoded, err := decodePayload(&trail[0])
+	if err != nil {
 		t.Fatalf("accepted payload does not decode to a request: %v", err)
+	}
+	if _, ok := decoded.(Request); !ok || k != simulateKind {
+		t.Fatalf("accepted payload decoded to a %s %T, want a simulate Request", k.name, decoded)
 	}
 }
 
@@ -269,12 +269,9 @@ func TestRecoverClassifiesEveryJob(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	encodeDoc := func(doc payloadDoc, err error) []byte {
+	encodeDoc := func(k *jobKind, req any) []byte {
 		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(doc)
+		b, err := encodePayload(k, req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,11 +281,11 @@ func TestRecoverClassifiesEveryJob(t *testing.T) {
 	// j000001: accepted, never started — must requeue and run.
 	reqA := engineRequest(t, 1)
 	append1(journal.Record{Job: "j000001", Op: journal.OpAccepted, Kind: "simulate",
-		Payload: encodeDoc(simPayload(reqA))})
+		Payload: encodeDoc(simulateKind, reqA)})
 
 	// j000002: running with a mid-network checkpoint — must resume.
 	reqB := engineRequest(t, 2)
-	payloadB := encodeDoc(simPayload(reqB))
+	payloadB := encodeDoc(simulateKind, reqB)
 	r, err := core.NewRun(reqB.Net, reqB.Cfg, reqB.Strategy, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +329,7 @@ func TestRecoverClassifiesEveryJob(t *testing.T) {
 			PE: [][2]int{{32, 32}}, FmapGBps: []float64{2.0}},
 	}
 	append1(journal.Record{Job: "j000005", Op: journal.OpAccepted, Kind: "sweep",
-		Payload: encodeDoc(sweepPayload(sweepReq))})
+		Payload: encodeDoc(sweepKind, sweepReq)})
 
 	if err := jnl1.Close(); err != nil {
 		t.Fatal(err)

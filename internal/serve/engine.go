@@ -11,10 +11,8 @@ import (
 	"time"
 
 	"shortcutmining/internal/chaos"
-	"shortcutmining/internal/cluster"
 	"shortcutmining/internal/core"
 	"shortcutmining/internal/dse"
-	"shortcutmining/internal/fpga"
 	"shortcutmining/internal/journal"
 	"shortcutmining/internal/metrics"
 	"shortcutmining/internal/nn"
@@ -180,10 +178,9 @@ type Engine struct {
 
 	active sync.WaitGroup // every admitted task, queued or running
 
-	// simFn runs one simulation; tests substitute a controllable fake.
+	// simFn runs one untraced simulation; tests substitute a
+	// controllable fake.
 	simFn func(ctx context.Context, req Request) (stats.RunStats, error)
-	// traceFn runs one traced simulation (SimulateTraced path).
-	traceFn func(ctx context.Context, req Request, rec trace.Recorder) (stats.RunStats, error)
 
 	mJobsDone, mJobsFailed, mJobsCanceled *metrics.Counter
 	mRejected                             *metrics.Counter
@@ -209,9 +206,8 @@ func NewEngine(opts Options) *Engine {
 		runCancel: cancel,
 		flight:    make(map[Key]*flight),
 		jobs:      make(map[string]*Job),
-		simFn:     runSimulation,
-		traceFn:   runTracedSimulation,
 	}
+	e.simFn = func(ctx context.Context, req Request) (stats.RunStats, error) { return runSimulation(ctx, req, nil) }
 	e.rt = metrics.NewRuntimeCollector(e.reg)
 	e.mJobsDone = e.reg.Counter(MetricJobs, "jobs by terminal state", metrics.L("state", "done"))
 	e.mJobsFailed = e.reg.Counter(MetricJobs, "jobs by terminal state", metrics.L("state", "failed"))
@@ -231,19 +227,10 @@ func NewEngine(opts Options) *Engine {
 	return e
 }
 
-// runSimulation is the production simFn: each job gets its own metrics
-// registry (when observed) and no shared mutable state, so jobs are
-// isolated and results deterministic.
-func runSimulation(ctx context.Context, req Request) (stats.RunStats, error) {
-	if req.Observe {
-		return core.SimulateObservedContext(ctx, req.Net, req.Cfg, req.Strategy, nil, metrics.New())
-	}
-	return core.SimulateContext(ctx, req.Net, req.Cfg, req.Strategy, nil)
-}
-
-// runTracedSimulation is the production traceFn: like runSimulation
-// but with a trace recorder attached.
-func runTracedSimulation(ctx context.Context, req Request, rec trace.Recorder) (stats.RunStats, error) {
+// runSimulation runs one simulation, traced when rec is set. Each job
+// gets its own metrics registry (when observed) and no shared mutable
+// state, so jobs are isolated and results deterministic.
+func runSimulation(ctx context.Context, req Request, rec trace.Recorder) (stats.RunStats, error) {
 	if req.Observe {
 		return core.SimulateObservedContext(ctx, req.Net, req.Cfg, req.Strategy, rec, metrics.New())
 	}
@@ -265,11 +252,15 @@ func (e *Engine) jobContext() (context.Context, context.CancelFunc) {
 	return context.WithCancel(e.runCtx)
 }
 
-// countOutcome folds one execution's error into the terminal-state
-// counters. A deadline expiry is the service failing the work it
-// accepted, so it counts as failed; only a genuine cancellation
-// (caller hung up, engine draining) counts as canceled.
-func (e *Engine) countOutcome(err error) {
+// timed runs one execution, observing its wall time in the job-seconds
+// histogram and folding its error into the terminal-state counters. A
+// deadline expiry is the service failing the work it accepted, so it
+// counts as failed; only a genuine cancellation (caller hung up, engine
+// draining) counts as canceled.
+func timed[T any](e *Engine, run func() (T, error)) (T, error) {
+	start := e.clock()
+	res, err := run()
+	e.mJobSeconds.Observe(e.clock().Sub(start).Seconds())
 	switch {
 	case err == nil:
 		e.mJobsDone.Inc()
@@ -278,16 +269,44 @@ func (e *Engine) countOutcome(err error) {
 	default:
 		e.mJobsFailed.Inc()
 	}
+	return res, err
 }
 
-// exec runs one simulation, recording duration and terminal-state
-// counters.
-func (e *Engine) exec(ctx context.Context, req Request) (stats.RunStats, error) {
-	start := e.clock()
-	res, err := e.simFn(ctx, req)
-	e.mJobSeconds.Observe(e.clock().Sub(start).Seconds())
-	e.countOutcome(err)
-	return res, err
+// wait blocks until the flight settles or ctx ends.
+func (f *flight) wait(ctx context.Context) (stats.RunStats, error) {
+	select {
+	case <-f.done:
+		return f.res, f.err
+	case <-ctx.Done():
+		return stats.RunStats{}, ctx.Err()
+	}
+}
+
+// runSync is the admission path of the synchronous runs: it submits run
+// to the worker pool under a job context (ErrBusy when the queue is
+// full) and waits for f to settle or ctx to end. settle sees f's
+// outcome just before f.done closes, on the worker or, for a rejection,
+// here. The caller has already counted the run in e.active.
+func (e *Engine) runSync(ctx context.Context, f *flight, run func(context.Context) (stats.RunStats, error), settle func()) (stats.RunStats, error) {
+	jobCtx, cancel := e.jobContext()
+	finish := func(res stats.RunStats, err error) {
+		f.res, f.err = res, err
+		settle()
+		close(f.done)
+	}
+	task := func() {
+		defer e.active.Done()
+		defer cancel()
+		finish(timed(e, func() (stats.RunStats, error) { return run(jobCtx) }))
+	}
+	if !e.pool.TrySubmit(task) {
+		e.active.Done()
+		cancel()
+		e.mRejected.Inc()
+		finish(stats.RunStats{}, ErrBusy) // joiners in the window share the rejection
+		return stats.RunStats{}, ErrBusy
+	}
+	return f.wait(ctx)
 }
 
 // Simulate runs req synchronously: a warm cache hit returns at once
@@ -320,12 +339,8 @@ func (e *Engine) Simulate(ctx context.Context, req Request) (stats.RunStats, boo
 	if f, ok := e.flight[key]; ok { // join the identical in-flight run
 		e.mu.Unlock()
 		e.mDedup.Inc()
-		select {
-		case <-f.done:
-			return f.res, false, f.err
-		case <-ctx.Done():
-			return stats.RunStats{}, false, ctx.Err()
-		}
+		res, err := f.wait(ctx)
+		return res, false, err
 	}
 	f := &flight{done: make(chan struct{})}
 	e.flight[key] = f
@@ -333,37 +348,15 @@ func (e *Engine) Simulate(ctx context.Context, req Request) (stats.RunStats, boo
 	e.mu.Unlock()
 	e.mCacheMisses.Inc()
 
-	jobCtx, cancel := e.jobContext()
-	task := func() {
-		defer e.active.Done()
-		defer cancel()
-		res, err := e.exec(jobCtx, req)
-		if err == nil {
-			e.cache.Put(key, res)
+	res, err := e.runSync(ctx, f, func(ctx context.Context) (stats.RunStats, error) { return e.simFn(ctx, req) }, func() {
+		if f.err == nil {
+			e.cache.Put(key, f.res)
 		}
 		e.mu.Lock()
 		delete(e.flight, key)
 		e.mu.Unlock()
-		f.res, f.err = res, err
-		close(f.done)
-	}
-	if !e.pool.TrySubmit(task) {
-		e.mu.Lock()
-		delete(e.flight, key)
-		e.mu.Unlock()
-		f.err = ErrBusy
-		close(f.done) // joiners in the window share the rejection
-		e.active.Done()
-		cancel()
-		e.mRejected.Inc()
-		return stats.RunStats{}, false, ErrBusy
-	}
-	select {
-	case <-f.done:
-		return f.res, false, f.err
-	case <-ctx.Done():
-		return stats.RunStats{}, false, ctx.Err()
-	}
+	})
+	return res, false, err
 }
 
 // SimulateTraced runs req synchronously with a cycle-level trace
@@ -395,39 +388,42 @@ func (e *Engine) SimulateTraced(ctx context.Context, req Request) (stats.RunStat
 
 	buf := &trace.Buffer{}
 	st := &trace.Stamper{R: buf}
-	type outcome struct {
-		res stats.RunStats
-		err error
-	}
-	done := make(chan outcome, 1)
-	jobCtx, cancel := e.jobContext()
-	task := func() {
-		defer e.active.Done()
-		defer cancel()
-		start := e.clock()
-		res, err := e.traceFn(jobCtx, req, st)
-		e.mJobSeconds.Observe(e.clock().Sub(start).Seconds())
-		e.countOutcome(err)
-		if err == nil {
-			st.Record(trace.Event{
-				Kind: trace.KindRequest, Tag: req.RequestID,
-				Cycle: 0, DurCycles: res.TotalCycles,
-			})
+	f := &flight{done: make(chan struct{})}
+	res, err := e.runSync(ctx, f, func(ctx context.Context) (stats.RunStats, error) { return runSimulation(ctx, req, st) }, func() {
+		if f.err == nil {
+			st.Record(trace.Event{Kind: trace.KindRequest, Tag: req.RequestID, Cycle: 0, DurCycles: f.res.TotalCycles})
 		}
-		done <- outcome{res, err}
+	})
+	if err != nil {
+		return stats.RunStats{}, nil, err
 	}
-	if !e.pool.TrySubmit(task) {
-		e.active.Done()
-		cancel()
-		e.mRejected.Inc()
-		return stats.RunStats{}, nil, ErrBusy
+	return res, buf.Events, nil
+}
+
+// runSimulate is the simulate row's run: a cache hit finishes at once;
+// otherwise the simulation runs, checkpointed when the job is eligible
+// or continuing snap (crash recovery), and its result lands in the
+// cache.
+func (e *Engine) runSimulate(ctx context.Context, j *Job, req Request, snap *core.RunSnapshot) (View, error) {
+	key, err := RequestKey(req)
+	if err != nil { // re-validated; the submit path already checked
+		return View{}, err
 	}
-	select {
-	case o := <-done:
-		return o.res, buf.Events, o.err
-	case <-ctx.Done():
-		return stats.RunStats{}, nil, ctx.Err()
+	if res, ok := e.cache.Get(key); ok {
+		e.mCacheHits.Inc()
+		return View{Stats: &res, Cached: true}, nil
 	}
+	e.mCacheMisses.Inc()
+	res, err := timed(e, func() (stats.RunStats, error) {
+		if snap != nil || e.checkpointable(req) {
+			return e.runCheckpointed(ctx, req, j, snap)
+		}
+		return e.simFn(ctx, req)
+	})
+	if err == nil {
+		e.cache.Put(key, res)
+	}
+	return View{Stats: &res}, err
 }
 
 // SweepRequest is one asynchronous design-space sweep: every point of
@@ -449,55 +445,11 @@ type SweepRequest struct {
 	RequestID string
 }
 
-// SubmitSimulate enqueues req as an asynchronous job and returns its
-// handle immediately. Async jobs share the result cache but not the
-// single-flight table (each submission is a tracked job of its own).
-func (e *Engine) SubmitSimulate(req Request) (*Job, error) {
-	if _, err := RequestKey(req); err != nil {
-		return nil, err
-	}
-	j := e.newJob("simulate", req.RequestID)
-	var payload []byte
-	if e.opts.Journal != nil {
-		var err error
-		if payload, err = e.encodePayload(simPayload(req)); err != nil {
-			return nil, err
-		}
-	}
-	return e.admit(j, payload, e.simTask(req, j, nil))
-}
-
-// simTask builds the closure that runs one async simulation. A non-nil
-// snap continues a checkpointed run instead of starting from layer 0
-// (crash recovery).
-func (e *Engine) simTask(req Request, j *Job, snap *core.RunSnapshot) func(ctx context.Context) {
-	return func(ctx context.Context) {
-		key, err := RequestKey(req)
-		if err != nil { // re-validated; the submit path already checked
-			j.finishSim(stats.RunStats{}, false, err)
-			return
-		}
-		if res, ok := e.cache.Get(key); ok {
-			e.mCacheHits.Inc()
-			j.finishSim(res, true, nil)
-			return
-		}
-		e.mCacheMisses.Inc()
-		var res stats.RunStats
-		if snap != nil || e.checkpointable(req) {
-			res, err = e.execCheckpointed(ctx, req, j, snap)
-		} else {
-			res, err = e.exec(ctx, req)
-		}
-		if err == nil {
-			e.cache.Put(key, res)
-		}
-		j.finishSim(res, false, err)
-	}
-}
-
-// ScheduleRequest is one asynchronous multi-tenant scheduling run: N
-// request streams time-sharing the platform's bank pool.
+// ScheduleRequest is one asynchronous scheduling run: a single-chip
+// scenario's request streams time-sharing the platform's bank pool
+// (SubmitSchedule), or, as a ClusterRequest, a chips>1 scenario run
+// across simulated chips joined by the contended interconnect model
+// (SubmitCluster, internal/cluster).
 type ScheduleRequest struct {
 	Cfg core.Config
 	// Spec is the validated scenario; a nil Spec is rejected.
@@ -507,121 +459,58 @@ type ScheduleRequest struct {
 	RequestID string
 }
 
-// SubmitSchedule enqueues a multi-tenant scheduling job. Scheduling
-// runs bypass the result cache (their cost is dominated by the
-// scenario, and the Result is cheap to recompute relative to its
+// ClusterRequest is a multi-chip ScheduleRequest: its Spec must carry
+// chips>1.
+type ClusterRequest = ScheduleRequest
+
+// SubmitSimulate enqueues req as an asynchronous job and returns its
+// handle immediately. Async jobs share the result cache but not the
+// single-flight table (each submission is a tracked job of its own).
+func (e *Engine) SubmitSimulate(req Request) (*Job, error) {
+	return e.submit(simulateKind, req, req.RequestID)
+}
+
+// SubmitSweep enqueues a design-space sweep job.
+func (e *Engine) SubmitSweep(req SweepRequest) (*Job, error) {
+	return e.submit(sweepKind, req, req.RequestID)
+}
+
+// SubmitSchedule enqueues a single-chip multi-tenant scheduling job.
+// Scheduling runs bypass the result cache (their cost is dominated by
+// the scenario, and the Result is cheap to recompute relative to its
 // size), but they share the worker pool, admission control, and job
 // lifecycle with every other kind.
 func (e *Engine) SubmitSchedule(req ScheduleRequest) (*Job, error) {
-	if req.Spec == nil {
-		return nil, fmt.Errorf("serve: schedule has no spec")
-	}
-	if err := req.Spec.Validate(); err != nil {
-		return nil, err
-	}
-	if err := req.Cfg.Validate(); err != nil {
-		return nil, err
-	}
-	j := e.newJob("schedule", req.RequestID)
-	var payload []byte
-	if e.opts.Journal != nil {
-		var err error
-		if payload, err = e.encodePayload(schedulePayload(req)); err != nil {
-			return nil, err
-		}
-	}
-	return e.admit(j, payload, e.scheduleTask(req, j))
-}
-
-func (e *Engine) scheduleTask(req ScheduleRequest, j *Job) func(ctx context.Context) {
-	return func(ctx context.Context) {
-		start := e.clock()
-		res, err := sched.RunContext(ctx, req.Cfg, req.Spec, nil)
-		e.mJobSeconds.Observe(e.clock().Sub(start).Seconds())
-		e.countOutcome(err)
-		j.finishSchedule(res, err)
-	}
-}
-
-// ClusterRequest is one asynchronous multi-chip sharded run: a chips>1
-// scenario executed across N simulated chips joined by the contended
-// interconnect model (internal/cluster).
-type ClusterRequest struct {
-	Cfg core.Config
-	// Spec is the validated scenario; it must carry chips>1.
-	Spec *sched.Spec
-	// RequestID is the serving-layer correlation ID stamped into the
-	// job record.
-	RequestID string
+	return e.submit(scheduleKind, req, req.RequestID)
 }
 
 // SubmitCluster enqueues a multi-chip sharded scheduling job. Like
 // schedule jobs, cluster runs bypass the result cache but share the
 // worker pool, admission control, and job lifecycle.
 func (e *Engine) SubmitCluster(req ClusterRequest) (*Job, error) {
-	if req.Spec == nil {
-		return nil, fmt.Errorf("serve: cluster has no spec")
+	return e.submit(clusterKind, req, req.RequestID)
+}
+
+// invalidError marks a request its kind's check refused (HTTP 400).
+type invalidError struct{ error }
+
+func (e invalidError) Unwrap() error { return e.error }
+
+// submit is the one submission path: req is checked against its kind,
+// given a job, encoded as the journaled accepted payload, and admitted.
+func (e *Engine) submit(k *jobKind, req any, reqID string) (*Job, error) {
+	if err := k.check(req); err != nil {
+		return nil, invalidError{err}
 	}
-	if err := req.Spec.Validate(); err != nil {
-		return nil, err
-	}
-	if req.Spec.Chips < 2 {
-		return nil, fmt.Errorf("serve: cluster spec has chips=%d; single-chip scenarios go to /v1/schedule", req.Spec.Chips)
-	}
-	if err := req.Cfg.Validate(); err != nil {
-		return nil, err
-	}
-	j := e.newJob("cluster", req.RequestID)
+	j := e.newJob(k.name, reqID)
 	var payload []byte
 	if e.opts.Journal != nil {
 		var err error
-		if payload, err = e.encodePayload(clusterPayload(req)); err != nil {
+		if payload, err = encodePayload(k, req); err != nil {
 			return nil, err
 		}
 	}
-	return e.admit(j, payload, e.clusterTask(req, j))
-}
-
-func (e *Engine) clusterTask(req ClusterRequest, j *Job) func(ctx context.Context) {
-	return func(ctx context.Context) {
-		start := e.clock()
-		res, err := cluster.RunContext(ctx, req.Cfg, req.Spec, nil, nil)
-		e.mJobSeconds.Observe(e.clock().Sub(start).Seconds())
-		e.countOutcome(err)
-		j.finishCluster(res, err)
-	}
-}
-
-// SubmitSweep enqueues a design-space sweep job.
-func (e *Engine) SubmitSweep(req SweepRequest) (*Job, error) {
-	if req.Net == nil {
-		return nil, fmt.Errorf("serve: sweep has no network")
-	}
-	if req.Space.Size() == 0 {
-		return nil, fmt.Errorf("serve: sweep has an empty design space")
-	}
-	j := e.newJob("sweep", req.RequestID)
-	var payload []byte
-	if e.opts.Journal != nil {
-		var err error
-		if payload, err = e.encodePayload(sweepPayload(req)); err != nil {
-			return nil, err
-		}
-	}
-	return e.admit(j, payload, e.sweepTask(req, j))
-}
-
-func (e *Engine) sweepTask(req SweepRequest, j *Job) func(ctx context.Context) {
-	return func(ctx context.Context) {
-		start := e.clock()
-		outcomes, err := dse.ExploreContext(ctx, req.Net, req.Base, req.Space, fpga.VC709(), req.Parallel)
-		e.mJobSeconds.Observe(e.clock().Sub(start).Seconds())
-		e.countOutcome(err)
-		if err == nil && req.Pareto {
-			outcomes = dse.ParetoFront(outcomes)
-		}
-		j.finishSweep(outcomes, err)
-	}
+	return e.admit(j, payload, func(ctx context.Context) (View, error) { return k.run(e, ctx, j, req) })
 }
 
 // admit registers the job, writes its accepted record through the
@@ -629,7 +518,7 @@ func (e *Engine) sweepTask(req SweepRequest, j *Job) func(ctx context.Context) {
 // produce any effect), and submits its task through admission control;
 // a rejected job is never visible through Job lookups. payload is the
 // journaled re-submission document (nil when no journal is configured).
-func (e *Engine) admit(j *Job, payload []byte, run func(ctx context.Context)) (*Job, error) {
+func (e *Engine) admit(j *Job, payload []byte, run func(ctx context.Context) (View, error)) (*Job, error) {
 	e.mu.Lock()
 	if e.draining {
 		e.mu.Unlock()
@@ -641,7 +530,7 @@ func (e *Engine) admit(j *Job, payload []byte, run func(ctx context.Context)) (*
 	e.active.Add(1)
 	e.mu.Unlock()
 
-	e.journalJob(j, journal.OpAccepted, 0, "", payload)
+	e.journalJob(j, journal.Record{Op: journal.OpAccepted, Payload: payload})
 	jobCtx, cancel := e.jobContext()
 	j.setCancel(cancel)
 	task := func() {
@@ -656,9 +545,9 @@ func (e *Engine) admit(j *Job, payload []byte, run func(ctx context.Context)) (*
 			}
 		}
 		j.setRunning()
-		e.journalJob(j, journal.OpRunning, 0, "", nil)
+		e.journalJob(j, journal.Record{Op: journal.OpRunning})
 		e.opts.Chaos.Hit("job-start")
-		run(jobCtx)
+		j.finish(run(jobCtx))
 		e.journalTerminal(j)
 		e.opts.Chaos.Hit("job-end")
 	}
@@ -675,7 +564,7 @@ func (e *Engine) admit(j *Job, payload []byte, run func(ctx context.Context)) (*
 		// The accepted record (if any) stays in the journal with no
 		// terminal state; recovery would re-enqueue it, so mark the
 		// rejection durably too.
-		e.journalJob(j, journal.OpFailed, 0, "rejected", nil)
+		e.journalJob(j, journal.Record{Op: journal.OpFailed, Reason: "rejected"})
 		return nil, ErrBusy
 	}
 	return j, nil

@@ -114,25 +114,10 @@ const (
 )
 
 // acceptedPayload is the accepted-record payload the engine journals
-// for req (a Request, SweepRequest, ScheduleRequest or ClusterRequest).
-func acceptedPayload(t *testing.T, req any) []byte {
+// for req as a job of kind k.
+func acceptedPayload(t *testing.T, k *jobKind, req any) []byte {
 	t.Helper()
-	e := &Engine{opts: Options{Journal: &journal.Journal{}}}
-	var doc payloadDoc
-	var err error
-	switch r := req.(type) {
-	case Request:
-		doc, err = simPayload(r)
-	case SweepRequest:
-		doc, err = sweepPayload(r)
-	case ScheduleRequest:
-		doc, err = schedulePayload(r)
-	case ClusterRequest:
-		doc, err = clusterPayload(r)
-	default:
-		t.Fatalf("no payload for %T", req)
-	}
-	b, err := e.encodePayload(doc, err)
+	b, err := encodePayload(k, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,17 +225,17 @@ func TestGoldenRecovery(t *testing.T) {
 	simC := Request{Net: dc, Cfg: batchConfig(3), Strategy: core.Baseline, Observe: true}
 
 	// j000001: finished before the crash — restored.
-	add(journal.Record{Job: "j000001", Op: journal.OpAccepted, Kind: "simulate", RequestID: "r1", Payload: acceptedPayload(t, simA)})
+	add(journal.Record{Job: "j000001", Op: journal.OpAccepted, Kind: "simulate", RequestID: "r1", Payload: acceptedPayload(t, simulateKind, simA)})
 	add(journal.Record{Job: "j000001", Op: journal.OpRunning, Kind: "simulate", RequestID: "r1"})
 	add(journal.Record{Job: "j000001", Op: journal.OpFailed, Kind: "simulate", RequestID: "r1", Error: "boom", Reason: "timeout"})
 	// j000002: running schedule, no checkpoint — interrupted.
 	sch := ScheduleRequest{Cfg: core.Default(), Spec: goldenSpec(t, goldenScheduleSpec)}
-	add(journal.Record{Job: "j000002", Op: journal.OpAccepted, Kind: "schedule", Payload: acceptedPayload(t, sch)})
+	add(journal.Record{Job: "j000002", Op: journal.OpAccepted, Kind: "schedule", Payload: acceptedPayload(t, scheduleKind, sch)})
 	add(journal.Record{Job: "j000002", Op: journal.OpRunning, Kind: "schedule"})
 	// j000003: accepted simulate whose payload does not decode — interrupted.
 	add(journal.Record{Job: "j000003", Op: journal.OpAccepted, Kind: "simulate", Payload: []byte(`{"graph":"not a graph"}`)})
 	// j000004: accepted simulate — requeued.
-	add(journal.Record{Job: "j000004", Op: journal.OpAccepted, Kind: "simulate", RequestID: "r4", Payload: acceptedPayload(t, simB)})
+	add(journal.Record{Job: "j000004", Op: journal.OpAccepted, Kind: "simulate", RequestID: "r4", Payload: acceptedPayload(t, simulateKind, simB)})
 	// j000005: running simulate with a mid-network checkpoint — resumed.
 	r, err := core.NewRun(simA.Net, simA.Cfg, simA.Strategy, nil, nil)
 	if err != nil {
@@ -272,17 +257,17 @@ func TestGoldenRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	add(journal.Record{Job: "j000005", Op: journal.OpAccepted, Kind: "simulate", RequestID: "r5", Payload: acceptedPayload(t, simA)})
+	add(journal.Record{Job: "j000005", Op: journal.OpAccepted, Kind: "simulate", RequestID: "r5", Payload: acceptedPayload(t, simulateKind, simA)})
 	add(journal.Record{Job: "j000005", Op: journal.OpRunning, Kind: "simulate", RequestID: "r5"})
 	add(journal.Record{Job: "j000005", Op: journal.OpCheckpoint, Kind: "simulate", RequestID: "r5", Layer: snap.Next, Payload: snapBytes})
 	// j000006..j000008: accepted sweep, schedule, cluster — requeued.
 	add(journal.Record{Job: "j000006", Op: journal.OpAccepted, Kind: "sweep", RequestID: "r6",
-		Payload: acceptedPayload(t, SweepRequest{Net: dc, Base: core.Default(), Space: goldenSpace, Parallel: 1, Pareto: true})})
-	add(journal.Record{Job: "j000007", Op: journal.OpAccepted, Kind: "schedule", RequestID: "r7", Payload: acceptedPayload(t, sch)})
+		Payload: acceptedPayload(t, sweepKind, SweepRequest{Net: dc, Base: core.Default(), Space: goldenSpace, Parallel: 1, Pareto: true})})
+	add(journal.Record{Job: "j000007", Op: journal.OpAccepted, Kind: "schedule", RequestID: "r7", Payload: acceptedPayload(t, scheduleKind, sch)})
 	add(journal.Record{Job: "j000008", Op: journal.OpAccepted, Kind: "cluster", RequestID: "r8",
-		Payload: acceptedPayload(t, ClusterRequest{Cfg: core.Default(), Spec: goldenSpec(t, goldenClusterSpec)})})
+		Payload: acceptedPayload(t, clusterKind, ClusterRequest{Cfg: core.Default(), Spec: goldenSpec(t, goldenClusterSpec)})})
 	// j000009: running simulate whose checkpoint does not fit — interrupted.
-	add(journal.Record{Job: "j000009", Op: journal.OpAccepted, Kind: "simulate", Payload: acceptedPayload(t, simC)})
+	add(journal.Record{Job: "j000009", Op: journal.OpAccepted, Kind: "simulate", Payload: acceptedPayload(t, simulateKind, simC)})
 	add(journal.Record{Job: "j000009", Op: journal.OpRunning, Kind: "simulate"})
 	add(journal.Record{Job: "j000009", Op: journal.OpCheckpoint, Kind: "simulate", Layer: 2, Payload: []byte(`{}`)})
 	// j000010: accepted sweep with no payload — interrupted.
@@ -291,7 +276,7 @@ func TestGoldenRecovery(t *testing.T) {
 	add(journal.Record{Job: "j000011", Op: journal.OpAccepted, Kind: "teleport", Payload: []byte(`{}`)})
 	// j000012: accepted cluster whose scenario is single-chip — interrupted.
 	add(journal.Record{Job: "j000012", Op: journal.OpAccepted, Kind: "cluster",
-		Payload: acceptedPayload(t, ScheduleRequest{Cfg: core.Default(), Spec: goldenSpec(t, goldenScheduleSpec)})})
+		Payload: acceptedPayload(t, scheduleKind, ScheduleRequest{Cfg: core.Default(), Spec: goldenSpec(t, goldenScheduleSpec)})})
 	const jobs = 12
 	if err := jnl1.Close(); err != nil {
 		t.Fatal(err)
@@ -399,16 +384,27 @@ func TestGoldenHTTP(t *testing.T) {
 	post("/v1/sweep", `{"network":"densechain","pareto":true,"parallel":1,"space":{"Banks":[34],"BankKiB":[16],"PE":[[64,56]],"FmapGBps":[1.0,2.0]}}`)
 	post("/v1/schedule", `{"spec":"`+goldenScheduleSpec+`"}`)
 	post("/v1/cluster", `{"spec":"`+goldenClusterSpec+`"}`)
-	for _, table := range []struct {
-		path string
-		rows []badRequest
+	// Rows added to a table after the golden was captured post after
+	// every captured row, so the captured entries — and the request IDs
+	// their job views carry — stay where they were.
+	tables := []struct {
+		path     string
+		rows     []badRequest
+		captured int
 	}{
-		{"/v1/simulate", simulateBadRequests},
-		{"/v1/schedule", scheduleBadRequests},
-		{"/v1/cluster", clusterBadRequests},
-	} {
-		for _, tc := range table.rows {
-			post(table.path, tc.body)
+		{"/v1/simulate", simulateBadRequests, 6},
+		{"/v1/schedule", scheduleBadRequests, 7},
+		{"/v1/cluster", clusterBadRequests, 5},
+	}
+	for _, added := range []bool{false, true} {
+		for _, table := range tables {
+			rows := table.rows[:table.captured]
+			if added {
+				rows = table.rows[table.captured:]
+			}
+			for _, tc := range rows {
+				post(table.path, tc.body)
+			}
 		}
 	}
 	checkGolden(t, "http.golden", out.Bytes())

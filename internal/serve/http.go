@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"time"
 
@@ -25,8 +27,9 @@ const maxBodyBytes = 4 << 20
 // call waits when the client does not ask for a specific timeout.
 const DefaultRequestTimeout = 2 * time.Minute
 
-// simulateBody is the POST /v1/simulate document.
-type simulateBody struct {
+// netBody is the network-and-platform part of the simulate and sweep
+// documents.
+type netBody struct {
 	// Network names a model-zoo network; Graph is an inline network in
 	// the JSON graph format. Exactly one must be set.
 	Network string          `json:"network,omitempty"`
@@ -34,6 +37,11 @@ type simulateBody struct {
 	// Config overrides platform fields (absent fields keep the
 	// calibrated defaults, fault spec included).
 	Config json.RawMessage `json:"config,omitempty"`
+}
+
+// simulateBody is the POST /v1/simulate document.
+type simulateBody struct {
+	netBody
 	// Strategy is baseline | fm-reuse | scm (default scm).
 	Strategy string `json:"strategy,omitempty"`
 	// Observe embeds a per-run metrics snapshot in the result.
@@ -50,37 +58,22 @@ type simulateBody struct {
 
 // sweepBody is the POST /v1/sweep document.
 type sweepBody struct {
-	Network  string          `json:"network,omitempty"`
-	Graph    json.RawMessage `json:"graph,omitempty"`
-	Config   json.RawMessage `json:"config,omitempty"`
-	Space    *dse.Space      `json:"space,omitempty"` // default DefaultSpace
-	Parallel int             `json:"parallel,omitempty"`
-	Pareto   bool            `json:"pareto,omitempty"`
+	netBody
+	Space    *dse.Space `json:"space,omitempty"` // default DefaultSpace
+	Parallel int        `json:"parallel,omitempty"`
+	Pareto   bool       `json:"pareto,omitempty"`
 }
 
-// scheduleBody is the POST /v1/schedule document. Scheduling jobs are
-// always asynchronous (a contended scenario can run for minutes of
-// simulated time): the reply is 202 + a job id, and the Result lands
-// in GET /v1/jobs/{id} under "schedule".
-type scheduleBody struct {
+// scenarioBody is the POST /v1/schedule and POST /v1/cluster document.
+// Both kinds are always asynchronous (a contended scenario can run for
+// minutes of simulated time): the reply is 202 + a job id, and the
+// Result lands in GET /v1/jobs/{id} under "schedule" or "cluster". A
+// cluster scenario must carry chips>1 (plus optional topo=, place=,
+// linkgbps=, hoplat= clauses); a schedule scenario at most one chip.
+type scenarioBody struct {
 	// Spec is the compact scheduling grammar, e.g.
-	// "seed=7;policy=rr;stream=resnet34:n=4,gap=2000000;stream=squeezenet:n=6,gap=500000,poisson".
-	Spec string `json:"spec,omitempty"`
-	// Scenario is the structured alternative to Spec. Exactly one of
-	// the two must be set.
-	Scenario *sched.Spec `json:"scenario,omitempty"`
-	// Config overrides platform fields, like in /v1/simulate.
-	Config json.RawMessage `json:"config,omitempty"`
-}
-
-// clusterBody is the POST /v1/cluster document. Cluster jobs are
-// always asynchronous, like schedule jobs: the reply is 202 + a job
-// id, and the sharded Result lands in GET /v1/jobs/{id} under
-// "cluster". The scenario must carry chips>1 (plus optional topo=,
-// place=, linkgbps=, hoplat= clauses).
-type clusterBody struct {
-	// Spec is the scheduling grammar extended with cluster clauses, e.g.
-	// "seed=7;chips=4;topo=mesh;place=affinity;stream=resnet34:n=4,gap=2000000".
+	// "seed=7;policy=rr;stream=resnet34:n=4,gap=2000000;stream=squeezenet:n=6,gap=500000,poisson"
+	// or "seed=7;chips=4;topo=mesh;place=affinity;stream=resnet34:n=4,gap=2000000".
 	Spec string `json:"spec,omitempty"`
 	// Scenario is the structured alternative to Spec. Exactly one of
 	// the two must be set.
@@ -125,10 +118,14 @@ type errorReply struct {
 // request-level trace span.
 func NewHandler(e *Engine) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/simulate", func(w http.ResponseWriter, r *http.Request) { handleSimulate(e, w, r) })
-	mux.HandleFunc("POST /v1/sweep", func(w http.ResponseWriter, r *http.Request) { handleSweep(e, w, r) })
-	mux.HandleFunc("POST /v1/schedule", func(w http.ResponseWriter, r *http.Request) { handleSchedule(e, w, r) })
-	mux.HandleFunc("POST /v1/cluster", func(w http.ResponseWriter, r *http.Request) { handleCluster(e, w, r) })
+	mux.HandleFunc("POST /v1/simulate", func(w http.ResponseWriter, r *http.Request) {
+		if body, req, ok := parseSimulate(w, r); ok {
+			serveSimulate(e, w, r, body, req)
+		}
+	})
+	for _, k := range []*jobKind{sweepKind, scheduleKind, clusterKind} {
+		mux.HandleFunc("POST /v1/"+k.name, func(w http.ResponseWriter, r *http.Request) { handleAsync(e, k, w, r) })
+	}
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) { handleJob(e, w, r) })
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) { handleHealth(e, w) })
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) { handleMetrics(e, w) })
@@ -151,6 +148,8 @@ func writeError(w http.ResponseWriter, code int, err error) {
 // statusFor maps engine sentinels onto HTTP codes.
 func statusFor(err error) int {
 	switch {
+	case errors.As(err, new(invalidError)):
+		return http.StatusBadRequest
 	case errors.Is(err, ErrBusy):
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrDraining):
@@ -164,29 +163,40 @@ func statusFor(err error) int {
 	}
 }
 
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// decodeJSON decodes exactly one JSON document from r into v: unknown
+// fields and anything but whitespace after the document are errors.
+func decodeJSON(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return false
+		return fmt.Errorf("decoding request: %w", err)
 	}
-	return true
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("decoding request: unexpected data after the JSON document")
+	}
+	return nil
 }
 
-// resolveNetwork builds the network from either a zoo name or an
-// inline graph document.
-func resolveNetwork(name string, graph json.RawMessage) (*nn.Network, error) {
+// resolve builds the network from either a zoo name or an inline
+// graph document, and the platform from the config overrides.
+func (b netBody) resolve() (*nn.Network, core.Config, error) {
+	var net *nn.Network
+	var err error
 	switch {
-	case name != "" && graph != nil:
-		return nil, errors.New("set either network or graph, not both")
-	case name != "":
-		return nn.Build(name)
-	case graph != nil:
-		return nn.DecodeJSON(bytes.NewReader(graph))
+	case b.Network != "" && b.Graph != nil:
+		return nil, core.Config{}, errors.New("set either network or graph, not both")
+	case b.Network != "":
+		net, err = nn.Build(b.Network)
+	case b.Graph != nil:
+		net, err = nn.DecodeJSON(bytes.NewReader(b.Graph))
 	default:
-		return nil, errors.New("request needs a network name or an inline graph")
+		return nil, core.Config{}, errors.New("request needs a network name or an inline graph")
 	}
+	if err != nil {
+		return nil, core.Config{}, err
+	}
+	cfg, err := resolveConfig(b.Config)
+	return net, cfg, err
 }
 
 // resolveConfig applies optional overrides to the calibrated defaults.
@@ -197,42 +207,44 @@ func resolveConfig(raw json.RawMessage) (core.Config, error) {
 	return core.DecodeConfigJSON(bytes.NewReader(raw))
 }
 
-func handleSimulate(e *Engine, w http.ResponseWriter, r *http.Request) {
-	body, req, ok := parseSimulate(w, r)
-	if !ok {
-		return
+// parseStrategy parses a strategy name; "" means SCM.
+func parseStrategy(name string) (core.Strategy, error) {
+	if name == "" {
+		return core.SCM, nil
 	}
-	serveSimulate(e, w, r, body, req)
+	return core.ParseStrategy(name)
 }
 
 // parseSimulate decodes and validates a POST /v1/simulate document into
 // an executable Request. On failure the error response has been written
 // and ok is false.
 func parseSimulate(w http.ResponseWriter, r *http.Request) (simulateBody, Request, bool) {
-	var body simulateBody
-	if !decodeBody(w, r, &body) {
-		return body, Request{}, false
-	}
-	net, err := resolveNetwork(body.Network, body.Graph)
+	body, req, err := decodeSimulate(http.MaxBytesReader(w, r.Body, maxBodyBytes), RequestIDFrom(r.Context()))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return body, Request{}, false
+		return body, req, false
 	}
-	cfg, err := resolveConfig(body.Config)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return body, Request{}, false
-	}
-	strategy := core.SCM
-	if body.Strategy != "" {
-		if strategy, err = core.ParseStrategy(body.Strategy); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return body, Request{}, false
-		}
-	}
-	reqID := RequestIDFrom(r.Context())
-	req := Request{Net: net, Cfg: cfg, Strategy: strategy, Observe: body.Observe, RequestID: reqID}
 	return body, req, true
+}
+
+// decodeSimulate decodes a simulate document into its Request.
+func decodeSimulate(r io.Reader, reqID string) (simulateBody, Request, error) {
+	var body simulateBody
+	if err := decodeJSON(r, &body); err != nil {
+		return body, Request{}, err
+	}
+	if body.TimeoutMS < 0 || body.TimeoutMS > math.MaxInt64/int64(time.Millisecond) {
+		return body, Request{}, fmt.Errorf("timeout_ms %d out of range [0, %d]", body.TimeoutMS, math.MaxInt64/int64(time.Millisecond))
+	}
+	net, cfg, err := body.resolve()
+	if err != nil {
+		return body, Request{}, err
+	}
+	strategy, err := parseStrategy(body.Strategy)
+	if err != nil {
+		return body, Request{}, err
+	}
+	return body, Request{Net: net, Cfg: cfg, Strategy: strategy, Observe: body.Observe, RequestID: reqID}, nil
 }
 
 // serveSimulate executes a parsed simulate request on e and writes the
@@ -240,18 +252,12 @@ func parseSimulate(w http.ResponseWriter, r *http.Request) (simulateBody, Reques
 // (always false for async, traced, and failed requests) so a sharding
 // front can count forwarded cache hits.
 func serveSimulate(e *Engine, w http.ResponseWriter, r *http.Request, body simulateBody, req Request) bool {
-	reqID := req.RequestID
 	if body.Async {
 		if body.Trace {
 			writeError(w, http.StatusBadRequest, errors.New("trace is synchronous-only; drop async or trace"))
 			return false
 		}
-		j, err := e.SubmitSimulate(req)
-		if err != nil {
-			writeError(w, statusFor(err), err)
-			return false
-		}
-		writeJSON(w, http.StatusAccepted, jobReply{Job: j.ID(), State: JobQueued})
+		acceptJob(w, e, simulateKind, req, req.RequestID)
 		return false
 	}
 
@@ -267,7 +273,7 @@ func serveSimulate(e *Engine, w http.ResponseWriter, r *http.Request, body simul
 			writeError(w, statusFor(err), err)
 			return false
 		}
-		writeJSON(w, http.StatusOK, simulateReply{RequestID: reqID, Stats: &res, Trace: events})
+		writeJSON(w, http.StatusOK, simulateReply{RequestID: req.RequestID, Stats: &res, Trace: events})
 		return false
 	}
 	res, cached, err := e.Simulate(ctx, req)
@@ -275,60 +281,26 @@ func serveSimulate(e *Engine, w http.ResponseWriter, r *http.Request, body simul
 		writeError(w, statusFor(err), err)
 		return false
 	}
-	writeJSON(w, http.StatusOK, simulateReply{Cached: cached, RequestID: reqID, Stats: &res})
+	writeJSON(w, http.StatusOK, simulateReply{Cached: cached, RequestID: req.RequestID, Stats: &res})
 	return cached
 }
 
-func handleSweep(e *Engine, w http.ResponseWriter, r *http.Request) {
-	var body sweepBody
-	if !decodeBody(w, r, &body) {
-		return
-	}
-	net, err := resolveNetwork(body.Network, body.Graph)
+// handleAsync serves the job-submitting route of kind k: the body
+// decodes through the kind's row and the job is submitted.
+func handleAsync(e *Engine, k *jobKind, w http.ResponseWriter, r *http.Request) {
+	reqID := RequestIDFrom(r.Context())
+	req, err := k.body(http.MaxBytesReader(w, r.Body, maxBodyBytes), reqID)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	cfg, err := resolveConfig(body.Config)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	space := dse.DefaultSpace()
-	if body.Space != nil {
-		space = *body.Space
-	}
-	if space.Size() == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("empty design space"))
-		return
-	}
-	j, err := e.SubmitSweep(SweepRequest{
-		Net: net, Base: cfg, Space: space, Parallel: body.Parallel, Pareto: body.Pareto,
-		RequestID: RequestIDFrom(r.Context()),
-	})
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, jobReply{Job: j.ID(), State: JobQueued})
+	acceptJob(w, e, k, req, reqID)
 }
 
-func handleSchedule(e *Engine, w http.ResponseWriter, r *http.Request) {
-	var body scheduleBody
-	if !decodeBody(w, r, &body) {
-		return
-	}
-	spec, err := resolveScenario(body.Spec, body.Scenario)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	cfg, err := resolveConfig(body.Config)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	j, err := e.SubmitSchedule(ScheduleRequest{Cfg: cfg, Spec: spec, RequestID: RequestIDFrom(r.Context())})
+// acceptJob submits req as a job of kind k and writes the 202 reply,
+// or the submission's error.
+func acceptJob(w http.ResponseWriter, e *Engine, k *jobKind, req any, reqID string) {
+	j, err := e.submit(k, req, reqID)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
@@ -352,34 +324,6 @@ func resolveScenario(specStr string, scenario *sched.Spec) (*sched.Spec, error) 
 	default:
 		return nil, errors.New("request needs a spec string or a structured scenario")
 	}
-}
-
-func handleCluster(e *Engine, w http.ResponseWriter, r *http.Request) {
-	var body clusterBody
-	if !decodeBody(w, r, &body) {
-		return
-	}
-	spec, err := resolveScenario(body.Spec, body.Scenario)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if spec.Chips < 2 {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("cluster scenario has chips=%d; single-chip scenarios go to /v1/schedule", spec.Chips))
-		return
-	}
-	cfg, err := resolveConfig(body.Config)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	j, err := e.SubmitCluster(ClusterRequest{Cfg: cfg, Spec: spec, RequestID: RequestIDFrom(r.Context())})
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, jobReply{Job: j.ID(), State: JobQueued})
 }
 
 func handleJob(e *Engine, w http.ResponseWriter, r *http.Request) {

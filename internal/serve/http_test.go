@@ -94,6 +94,10 @@ var simulateBadRequests = []badRequest{
 	{"bad strategy", `{"network":"resnet18","strategy":"turbo"}`},
 	{"unknown field", `{"network":"resnet18","bogus":1}`},
 	{"malformed json", `{`},
+	{"trailing data", `{"network":"squeezenet"} trailing-garbage`},
+	{"trailing document", `{"network":"squeezenet"} {}`},
+	{"overflowing timeout", `{"network":"squeezenet","timeout_ms":9223372036854775807}`},
+	{"negative timeout", `{"network":"squeezenet","timeout_ms":-1}`},
 }
 
 func TestHTTPSimulateBadRequests(t *testing.T) {
@@ -107,6 +111,20 @@ func TestHTTPSimulateBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, body %s", tc.name, resp.StatusCode, raw)
 		}
+	}
+}
+
+// TestHTTPBodyTrailingWhitespace: whitespace after the document is
+// not trailing data.
+func TestHTTPBodyTrailingWhitespace(t *testing.T) {
+	e := NewEngine(Options{Workers: 1})
+	defer e.Drain(context.Background())
+	srv := httptest.NewServer(NewHandler(e))
+	defer srv.Close()
+
+	resp, raw := postJSON(t, srv, "/v1/simulate", "{\"network\":\"densechain\",\"timeout_ms\":60000} \n\t\r\n")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, body %s", resp.StatusCode, raw)
 	}
 }
 

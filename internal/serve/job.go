@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
 	"shortcutmining/internal/cluster"
+	"shortcutmining/internal/core"
 	"shortcutmining/internal/dse"
+	"shortcutmining/internal/fpga"
 	"shortcutmining/internal/sched"
 	"shortcutmining/internal/stats"
 )
@@ -45,16 +48,12 @@ type Job struct {
 
 	mu       sync.Mutex
 	state    JobState           // guarded by mu
-	cached   bool               // guarded by mu
 	errMsg   string             // guarded by mu
 	reason   string             // guarded by mu: machine-readable failure class ("timeout", …)
 	created  time.Time          // guarded by mu
 	started  time.Time          // guarded by mu
 	finished time.Time          // guarded by mu
-	res      *stats.RunStats    // guarded by mu
-	sweep    []dse.Outcome      // guarded by mu
-	schedule *sched.Result      // guarded by mu
-	cluster  *cluster.Result    // guarded by mu
+	result   View               // guarded by mu: only the result fields its kind's run set
 	cancel   context.CancelFunc // guarded by mu
 
 	done chan struct{}
@@ -76,8 +75,7 @@ func (e *Engine) newJob(kind, requestID string) *Job {
 	e.seq++
 	id := fmt.Sprintf("%s%06d", e.jobPrefix(), e.seq)
 	e.mu.Unlock()
-	return &Job{id: id, kind: kind, reqID: requestID, clock: e.clock,
-		state: JobQueued, created: e.clock(), done: make(chan struct{})}
+	return e.adoptJob(id, kind, requestID)
 }
 
 // ID returns the job identifier ("j000042").
@@ -133,52 +131,15 @@ func (j *Job) setRunning() {
 	j.mu.Unlock()
 }
 
-func (j *Job) finishSim(res stats.RunStats, cached bool, err error) {
+// finish records a run's outcome: res carries the result fields its
+// kind's run set, kept only on success.
+func (j *Job) finish(res View, err error) {
 	j.mu.Lock()
-	j.finishLocked(err)
-	if err == nil {
-		j.res = &res
-		j.cached = cached
-	}
-	j.mu.Unlock()
-	close(j.done)
-}
-
-func (j *Job) finishSchedule(res *sched.Result, err error) {
-	j.mu.Lock()
-	j.finishLocked(err)
-	if err == nil {
-		j.schedule = res
-	}
-	j.mu.Unlock()
-	close(j.done)
-}
-
-func (j *Job) finishCluster(res *cluster.Result, err error) {
-	j.mu.Lock()
-	j.finishLocked(err)
-	if err == nil {
-		j.cluster = res
-	}
-	j.mu.Unlock()
-	close(j.done)
-}
-
-func (j *Job) finishSweep(outcomes []dse.Outcome, err error) {
-	j.mu.Lock()
-	j.finishLocked(err)
-	if err == nil {
-		j.sweep = outcomes
-	}
-	j.mu.Unlock()
-	close(j.done)
-}
-
-func (j *Job) finishLocked(err error) {
 	j.finished = j.clock()
 	switch {
 	case err == nil:
 		j.state = JobDone
+		j.result = res
 	case errors.Is(err, context.DeadlineExceeded):
 		// The engine's JobTimeout expired: the service failed to finish
 		// the work it accepted, which is a failure of the job, not a
@@ -193,6 +154,8 @@ func (j *Job) finishLocked(err error) {
 		j.state = JobFailed
 		j.errMsg = err.Error()
 	}
+	j.mu.Unlock()
+	close(j.done)
 }
 
 // View is the JSON representation served by GET /v1/jobs/{id}.
@@ -221,11 +184,9 @@ type View struct {
 func (j *Job) View() View {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	v := View{
-		ID: j.id, Kind: j.kind, RequestID: j.reqID, State: j.state, Cached: j.cached,
-		Error: j.errMsg, Reason: j.reason, Created: j.created,
-		Stats: j.res, Outcomes: j.sweep, Schedule: j.schedule, Cluster: j.cluster,
-	}
+	v := j.result
+	v.ID, v.Kind, v.RequestID, v.State = j.id, j.kind, j.reqID, j.state
+	v.Error, v.Reason, v.Created = j.errMsg, j.reason, j.created
 	if !j.started.IsZero() {
 		t := j.started
 		v.Started = &t
@@ -235,4 +196,192 @@ func (j *Job) View() View {
 		v.Finished = &t
 	}
 	return v
+}
+
+// jobKind is one row of the job-kind table: everything the engine, the
+// journal, recovery and the HTTP layer know about one kind of async
+// job. Submission, journaling, recovery and the 202 handler are written
+// once against the table; adding a kind means adding a row. Requests
+// are the row's own type (Request, SweepRequest, ScheduleRequest).
+type jobKind struct {
+	// name is the job kind in views and journal records, and the
+	// /v1/{name} route.
+	name string
+	// body decodes an HTTP request body into a request carrying the
+	// correlation ID reqID.
+	body func(r io.Reader, reqID string) (any, error)
+	// check validates a request at submit time; a failure is a bad
+	// request (HTTP 400).
+	check func(req any) error
+	// encode renders a request as its journaled accepted payload.
+	encode func(req any) (payloadDoc, error)
+	// decode rebuilds and validates a request from that payload.
+	decode func(doc payloadDoc, reqID string) (any, error)
+	// run executes a request for job j; the returned View carries only
+	// the result fields, which Job.finish stores on success.
+	run func(e *Engine, ctx context.Context, j *Job, req any) (View, error)
+}
+
+var (
+	simulateKind = &jobKind{
+		name: "simulate",
+		body: func(r io.Reader, reqID string) (any, error) {
+			_, req, err := decodeSimulate(r, reqID)
+			return req, err
+		},
+		check: func(req any) error {
+			_, err := RequestKey(req.(Request))
+			return err
+		},
+		encode: func(req any) (payloadDoc, error) {
+			r := req.(Request)
+			g, c, err := encodeGraphConfig(r.Net, r.Cfg)
+			return payloadDoc{Graph: g, Config: c, Strategy: r.Strategy.String(), Observe: r.Observe}, err
+		},
+		decode: func(doc payloadDoc, reqID string) (any, error) {
+			net, cfg, err := decodeGraphConfig(doc)
+			if err != nil {
+				return nil, err
+			}
+			strategy, err := parseStrategy(doc.Strategy)
+			if err != nil {
+				return nil, err
+			}
+			return Request{Net: net, Cfg: cfg, Strategy: strategy, Observe: doc.Observe, RequestID: reqID}, nil
+		},
+		run: func(e *Engine, ctx context.Context, j *Job, req any) (View, error) {
+			return e.runSimulate(ctx, j, req.(Request), nil)
+		},
+	}
+
+	sweepKind = &jobKind{
+		name: "sweep",
+		body: func(r io.Reader, reqID string) (any, error) {
+			var b sweepBody
+			if err := decodeJSON(r, &b); err != nil {
+				return nil, err
+			}
+			net, cfg, err := b.resolve()
+			if err != nil {
+				return nil, err
+			}
+			space := dse.DefaultSpace()
+			if b.Space != nil {
+				space = *b.Space
+			}
+			return SweepRequest{Net: net, Base: cfg, Space: space, Parallel: b.Parallel, Pareto: b.Pareto, RequestID: reqID}, nil
+		},
+		check: func(req any) error {
+			r := req.(SweepRequest)
+			if r.Net == nil {
+				return errors.New("serve: sweep has no network")
+			}
+			if r.Space.Size() == 0 {
+				return errors.New("serve: sweep has an empty design space")
+			}
+			return nil
+		},
+		encode: func(req any) (payloadDoc, error) {
+			r := req.(SweepRequest)
+			g, c, err := encodeGraphConfig(r.Net, r.Base)
+			return payloadDoc{Graph: g, Config: c, Space: &r.Space, Parallel: r.Parallel, Pareto: r.Pareto}, err
+		},
+		decode: func(doc payloadDoc, reqID string) (any, error) {
+			net, cfg, err := decodeGraphConfig(doc)
+			if err != nil {
+				return nil, err
+			}
+			if doc.Space == nil || doc.Space.Size() == 0 {
+				return nil, errors.New("payload has no design space")
+			}
+			return SweepRequest{Net: net, Base: cfg, Space: *doc.Space, Parallel: doc.Parallel, Pareto: doc.Pareto, RequestID: reqID}, nil
+		},
+		run: func(e *Engine, ctx context.Context, _ *Job, req any) (View, error) {
+			r := req.(SweepRequest)
+			outcomes, err := timed(e, func() ([]dse.Outcome, error) {
+				return dse.ExploreContext(ctx, r.Net, r.Base, r.Space, fpga.VC709(), r.Parallel)
+			})
+			if err == nil && r.Pareto {
+				outcomes = dse.ParetoFront(outcomes)
+			}
+			return View{Outcomes: outcomes}, err
+		},
+	}
+
+	scheduleKind = scenarioKind("schedule", false, "multi-chip scenarios go to /v1/cluster",
+		func(ctx context.Context, r ScheduleRequest) (View, error) {
+			res, err := sched.RunContext(ctx, r.Cfg, r.Spec, nil)
+			return View{Schedule: res}, err
+		})
+
+	clusterKind = scenarioKind("cluster", true, "single-chip scenarios go to /v1/schedule",
+		func(ctx context.Context, r ScheduleRequest) (View, error) {
+			res, err := cluster.RunContext(ctx, r.Cfg, r.Spec, nil, nil)
+			return View{Cluster: res}, err
+		})
+
+	// jobKinds is the table, keyed by kind name.
+	jobKinds = map[string]*jobKind{"simulate": simulateKind, "sweep": sweepKind, "schedule": scheduleKind, "cluster": clusterKind}
+)
+
+// scenarioKind builds the schedule and cluster rows. They share the
+// request type, body and payload; each checks the scenario's chip count
+// against its own direction (chips>1 for cluster, at most one for
+// schedule), pointing a misrouted request at the other route.
+func scenarioKind(name string, multiChip bool, other string, run func(context.Context, ScheduleRequest) (View, error)) *jobKind {
+	return &jobKind{
+		name: name,
+		body: func(r io.Reader, reqID string) (any, error) {
+			var b scenarioBody
+			if err := decodeJSON(r, &b); err != nil {
+				return nil, err
+			}
+			spec, err := resolveScenario(b.Spec, b.Scenario)
+			if err != nil {
+				return nil, err
+			}
+			cfg, err := resolveConfig(b.Config)
+			if err != nil {
+				return nil, err
+			}
+			return ScheduleRequest{Cfg: cfg, Spec: spec, RequestID: reqID}, nil
+		},
+		check: func(req any) error {
+			r := req.(ScheduleRequest)
+			if r.Spec == nil {
+				return fmt.Errorf("serve: %s has no spec", name)
+			}
+			if err := r.Spec.Validate(); err != nil {
+				return err
+			}
+			if (r.Spec.Chips > 1) != multiChip {
+				return fmt.Errorf("%s scenario has chips=%d; %s", name, r.Spec.Chips, other)
+			}
+			return r.Cfg.Validate()
+		},
+		encode: func(req any) (payloadDoc, error) {
+			r := req.(ScheduleRequest)
+			c, err := encodeWith(core.EncodeConfigJSON, r.Cfg)
+			return payloadDoc{Config: c, Scenario: r.Spec}, err
+		},
+		decode: func(doc payloadDoc, reqID string) (any, error) {
+			if doc.Scenario == nil {
+				return nil, errors.New("payload has no scenario")
+			}
+			if err := doc.Scenario.Validate(); err != nil {
+				return nil, err
+			}
+			if (doc.Scenario.Chips > 1) != multiChip {
+				return nil, fmt.Errorf("%s payload has chips=%d", name, doc.Scenario.Chips)
+			}
+			cfg, err := resolveConfig(doc.Config)
+			if err != nil {
+				return nil, err
+			}
+			return ScheduleRequest{Cfg: cfg, Spec: doc.Scenario, RequestID: reqID}, nil
+		},
+		run: func(e *Engine, ctx context.Context, _ *Job, req any) (View, error) {
+			return timed(e, func() (View, error) { return run(ctx, req.(ScheduleRequest)) })
+		},
+	}
 }

@@ -9,6 +9,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"shortcutmining/internal/core"
+	"shortcutmining/internal/journal"
+	"shortcutmining/internal/sched"
 )
 
 // pollJob spins on GET /v1/jobs/{id} until the job is terminal.
@@ -106,6 +110,8 @@ var scheduleBadRequests = []badRequest{
 	{"no streams", `{"scenario":{"seed":1}}`},
 	{"unknown field", `{"specs":"stream=densechain:"}`},
 	{"zero requests", `{"spec":"stream=densechain:n=0"}`},
+	{"trailing data", `{"spec":"stream=densechain:n=1"} trailing-garbage`},
+	{"multi chip", `{"spec":"seed=1;chips=3;stream=squeezenet:n=1,gap=1000"}`},
 }
 
 // TestHTTPScheduleBadRequests pins the 400 paths.
@@ -166,5 +172,34 @@ func TestHTTPMetricsCacheLookups(t *testing.T) {
 	}
 	if !strings.Contains(text, MetricCacheLookups+`{result="miss"} 1`) {
 		t.Errorf("cache lookup miss counter not rendered; got:\n%s", text)
+	}
+}
+
+// TestSubmitScenarioDirection: the schedule and cluster kinds each
+// check the scenario's chip count at submit time, so a misrouted
+// scenario is refused before anything is journaled instead of being
+// accepted and failing when it runs.
+func TestSubmitScenarioDirection(t *testing.T) {
+	jnl, _ := openTestJournal(t, journal.Options{})
+	defer jnl.Close()
+	e := NewEngine(Options{Workers: 1, Journal: jnl})
+	defer e.Drain(context.Background())
+
+	multi, err := sched.ParseSpec("seed=1;chips=3;stream=squeezenet:n=1,gap=1000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := sched.ParseSpec("seed=1;stream=squeezenet:n=1,gap=1000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.SubmitSchedule(ScheduleRequest{Cfg: core.Default(), Spec: multi}); err == nil || !strings.Contains(err.Error(), "chips=3") {
+		t.Errorf("SubmitSchedule(chips=3) error = %v, want a chips=3 refusal", err)
+	}
+	if _, err := e.SubmitCluster(ClusterRequest{Cfg: core.Default(), Spec: single}); err == nil || !strings.Contains(err.Error(), "single-chip") {
+		t.Errorf("SubmitCluster(chips=0) error = %v, want a single-chip refusal", err)
+	}
+	if n := jnl.Stats().Appends; n != 0 {
+		t.Errorf("refused submissions wrote %d journal records", n)
 	}
 }

@@ -208,15 +208,11 @@ func (s *Shards) routeMetrics(w http.ResponseWriter) {
 func NewShardedHandler(s *Shards) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/simulate", func(w http.ResponseWriter, r *http.Request) { s.routeSimulate(w, r) })
-	mux.HandleFunc("POST /v1/sweep", func(w http.ResponseWriter, r *http.Request) {
-		handleSweep(s.entryEngine("sweep"), w, r)
-	})
-	mux.HandleFunc("POST /v1/schedule", func(w http.ResponseWriter, r *http.Request) {
-		handleSchedule(s.entryEngine("schedule"), w, r)
-	})
-	mux.HandleFunc("POST /v1/cluster", func(w http.ResponseWriter, r *http.Request) {
-		handleCluster(s.entryEngine("cluster"), w, r)
-	})
+	for _, k := range []*jobKind{sweepKind, scheduleKind, clusterKind} {
+		mux.HandleFunc("POST /v1/"+k.name, func(w http.ResponseWriter, r *http.Request) {
+			handleAsync(s.entryEngine(k.name), k, w, r)
+		})
+	}
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) { s.routeJob(w, r) })
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) { s.routeHealth(w) })
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) { s.routeMetrics(w) })

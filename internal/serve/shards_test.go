@@ -60,6 +60,7 @@ var clusterBadRequests = []badRequest{
 	{"bad topology", `{"spec":"chips=2;topo=torus;stream=squeezenet:n=1"}`},
 	{"bad grammar", `{"spec":"chips=two;stream=squeezenet:n=1"}`},
 	{"both", `{"spec":"chips=2;stream=squeezenet:n=1","scenario":{"chips":2,"streams":[{"network":"squeezenet","requests":1}]}}`},
+	{"trailing data", `{"spec":"chips=2;stream=squeezenet:n=1"} trailing-garbage`},
 }
 
 // TestHTTPClusterBadRequests pins the 400 paths of /v1/cluster.
@@ -94,11 +95,7 @@ func TestClusterDurableRequeue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, err := clusterPayload(ClusterRequest{Cfg: core.Default(), Spec: spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := json.Marshal(doc)
+	payload, err := encodePayload(clusterKind, ClusterRequest{Cfg: core.Default(), Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
