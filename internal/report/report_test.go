@@ -2,6 +2,8 @@ package report
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -86,5 +88,35 @@ func TestGenerateFullDocument(t *testing.T) {
 	// Every registered experiment appears.
 	if got := strings.Count(doc, "*Paper anchor:*"); got != 25 {
 		t.Errorf("document has %d experiments, want 25", got)
+	}
+}
+
+// TestExperimentsFresh byte-compares the committed EXPERIMENTS.md with
+// a fresh Generate, so no experiment table or note drifts silently.
+// Regenerate with `go run ./cmd/scm-report -o EXPERIMENTS.md`.
+func TestExperimentsFresh(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Generate(&buf, core.Default()); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(buf.Bytes(), want) {
+		return
+	}
+	gl, wl := strings.Split(buf.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("EXPERIMENTS.md is stale at line %d (regenerate with go run ./cmd/scm-report -o EXPERIMENTS.md):\n got: %.400s\nwant: %.400s", i+1, g, w)
+		}
 	}
 }
