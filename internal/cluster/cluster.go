@@ -1,6 +1,7 @@
-// Package cluster shards one multi-tenant scheduling scenario across N
-// simulated accelerator chips connected by a contended interconnect
-// (internal/noc). Each chip owns its own bank pool; a placement policy
+// Package cluster reports one multi-tenant scheduling scenario sharded
+// across N simulated accelerator chips connected by a contended
+// interconnect (internal/noc). The scenario runs through sched's one
+// event loop: each chip owns its own bank pool; a placement policy
 // maps every stream's layers onto chips as contiguous segments (or
 // per-layer for the hash baseline), and a request executes its
 // segments in order, suspending P5-style at every chip boundary and
@@ -25,58 +26,10 @@ import (
 	"fmt"
 
 	"shortcutmining/internal/core"
-	"shortcutmining/internal/dram"
 	"shortcutmining/internal/metrics"
-	"shortcutmining/internal/nn"
-	"shortcutmining/internal/noc"
 	"shortcutmining/internal/sched"
-	"shortcutmining/internal/stats"
 	"shortcutmining/internal/trace"
 )
-
-// reqState tracks one request through its segment sequence.
-type reqState struct {
-	stream, seq int
-	arrival     int64
-
-	si      int // next segment index
-	run     *core.Run
-	readyAt int64 // earliest start of the next segment
-	start   int64 // first executed cycle; -1 until launched
-	finish  int64
-
-	crossings     int
-	interBytes    int64
-	interLogical  int64 // pre-codec handoff payload (== interBytes pre-flit-rounding when uncompressed)
-	codecCycles   int64 // interchip encode+decode time on this request's timeline
-	shortcutBytes int64 // pinned-shortcut share of the handoff payloads
-	queueCycles   int64 // noc backpressure experienced
-	comp          *stats.CompressionStats
-}
-
-// chipAccum ledgers one chip's activity.
-type chipAccum struct {
-	segments               int64
-	compute, spill, reload int64
-	codec                  int64 // codec engine cycles at this chip (encode on egress, decode on ingress)
-	freeAt                 int64
-}
-
-// streamAccum accumulates one stream's outcome.
-type streamAccum struct {
-	completed     int
-	serviceCycles int64
-	singleTenant  int64
-	schedLedger   core.SchedStats
-	traffic       dram.Traffic
-	crossings     int64
-	interBytes    int64
-	interLogical  int64
-	codecCycles   int64
-	comp          *stats.CompressionStats
-	latencies     []int64
-	queueWaits    []int64
-}
 
 // Run executes a chips>1 scenario and returns the sharded outcome.
 // reg and rec may be nil (no metrics, no trace).
@@ -86,286 +39,14 @@ func Run(cfg core.Config, spec *sched.Spec, reg *metrics.Registry, rec trace.Rec
 
 // RunContext is Run with cooperative cancellation at layer granularity.
 func RunContext(ctx context.Context, cfg core.Config, spec *sched.Spec, reg *metrics.Registry, rec trace.Recorder) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if spec.Chips < 2 {
+	if spec != nil && spec.Chips < 2 {
 		return nil, fmt.Errorf("cluster: spec has chips=%d; single-chip scenarios run through sched", spec.Chips)
 	}
-	place, err := ParsePlacement(spec.Placement)
+	l, err := sched.Execute(ctx, cfg, spec, rec)
 	if err != nil {
 		return nil, err
 	}
-	topo := noc.Ring
-	if spec.Topology != "" {
-		topo, err = noc.ParseTopology(spec.Topology)
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Same single-inference normalization as sched.
-	cfg.Batch = 1
-	cfg.AmortizeWeights = false
-	if spec.Compress != nil {
-		cfg.Compression = spec.Compress
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-
-	fabric, err := noc.New(noc.Config{
-		Chips:      spec.Chips,
-		Topology:   topo,
-		LinkGBps:   spec.LinkGBps,
-		HopLatency: spec.HopLatency,
-		ClockMHz:   cfg.PE.ClockMHz,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if rec != nil {
-		st := &trace.Stamper{R: rec}
-		fabric.SetSpanFunc(func(link string, bytes, start, dur int64) {
-			st.Record(trace.Event{Kind: trace.KindLink, Tag: link,
-				Bytes: bytes, Cycle: start, DurCycles: dur})
-		})
-	}
-
-	names := spec.StreamNames()
-	nets := make([]*nn.Network, len(spec.Streams))
-	segsByStream := make([][]segment, len(spec.Streams))
-	perStream := make([]*streamAccum, len(spec.Streams))
-	for i, st := range spec.Streams {
-		net, err := nn.Build(st.Network)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: stream %d: %w", i, err)
-		}
-		nets[i] = net
-		perLayer, single, err := profile(ctx, net, cfg, st.Strategy)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: stream %d (%s): %w", i, st.Network, err)
-		}
-		assignment := assign(place, net, cfg.DType, perLayer, spec.Chips)
-		segsByStream[i] = segments(assignment)
-		perStream[i] = &streamAccum{singleTenant: single}
-	}
-
-	reqs := make([]reqState, 0, len(spec.Streams))
-	for _, a := range spec.Arrivals() {
-		reqs = append(reqs, reqState{
-			stream: a.Stream, seq: a.Seq, arrival: a.Cycle,
-			readyAt: a.Cycle, start: -1,
-		})
-	}
-
-	chips := make([]chipAccum, spec.Chips)
-	var requests []RequestResult
-	var makespan int64
-	var interTotal int64
-
-	remaining := len(reqs)
-	for remaining > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("cluster: canceled: %w", err)
-		}
-		// Pick the runnable segment with the earliest start; ties go to
-		// the lowest (chip, stream, seq). Executing it cannot invalidate
-		// the choice: everything it generates starts at or after it.
-		best := -1
-		var bestStart int64
-		var bestChip int
-		for i := range reqs {
-			r := &reqs[i]
-			if r.si >= len(r.segs(segsByStream)) {
-				continue
-			}
-			seg := r.segs(segsByStream)[r.si]
-			start := r.readyAt
-			if chips[seg.chip].freeAt > start {
-				start = chips[seg.chip].freeAt
-			}
-			if best < 0 || start < bestStart ||
-				(start == bestStart && (seg.chip < bestChip ||
-					(seg.chip == bestChip && (r.stream < reqs[best].stream ||
-						(r.stream == reqs[best].stream && r.seq < reqs[best].seq))))) {
-				best, bestStart, bestChip = i, start, seg.chip
-			}
-		}
-		if best < 0 {
-			return nil, fmt.Errorf("cluster: internal: %d requests unfinished but none runnable", remaining)
-		}
-
-		r := &reqs[best]
-		segs := r.segs(segsByStream)
-		seg := segs[r.si]
-		ca := &chips[seg.chip]
-		t := bestStart
-		if r.run == nil {
-			run, err := core.NewRun(nets[r.stream], cfg, spec.Streams[r.stream].Strategy, nil, nil)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: %s request %d: %w", names[r.stream], r.seq, err)
-			}
-			r.run = run
-			r.start = t
-		}
-
-		beforeClock := r.run.Clock()
-		beforeSched := r.run.Sched()
-		done := false
-		for !done && r.run.NextLayer() < seg.hi {
-			d, err := r.run.Step(ctx)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: %s request %d: %w", names[r.stream], r.seq, err)
-			}
-			done = d
-		}
-		afterSched := r.run.Sched()
-		clockDelta := r.run.Clock() - beforeClock
-		reloadDelta := afterSched.ReloadCycles - beforeSched.ReloadCycles
-		t += clockDelta + reloadDelta
-		ca.compute += clockDelta
-		ca.reload += reloadDelta
-		ca.segments++
-		r.si++
-
-		if done {
-			ca.freeAt = t
-			r.finish = t
-			if t > makespan {
-				makespan = t
-			}
-			res, err := r.run.Result()
-			if err != nil {
-				return nil, fmt.Errorf("cluster: %s request %d: %w", names[r.stream], r.seq, err)
-			}
-			acc := perStream[r.stream]
-			acc.completed++
-			acc.serviceCycles += res.TotalCycles
-			for c := range res.Traffic {
-				acc.traffic[c] += res.Traffic[c] // scmvet:ok accounting fold of a finished request's RunStats into the stream ledger
-			}
-			sc := r.run.Sched()
-			acc.schedLedger.Suspends += sc.Suspends
-			acc.schedLedger.Resumes += sc.Resumes
-			acc.schedLedger.SpillBytes += sc.SpillBytes
-			acc.schedLedger.ReloadBytes += sc.ReloadBytes
-			acc.schedLedger.SpillCycles += sc.SpillCycles
-			acc.schedLedger.ReloadCycles += sc.ReloadCycles
-			acc.crossings += int64(r.crossings)
-			acc.interBytes += r.interBytes
-			acc.interLogical += r.interLogical
-			acc.codecCycles += r.codecCycles
-			if res.Compression != nil {
-				if r.comp == nil {
-					r.comp = &stats.CompressionStats{}
-				}
-				r.comp.Add(*res.Compression)
-			}
-			if r.comp != nil {
-				if acc.comp == nil {
-					acc.comp = &stats.CompressionStats{}
-				}
-				acc.comp.Add(*r.comp)
-			}
-			lat := t - r.arrival
-			wait := r.start - r.arrival
-			acc.latencies = append(acc.latencies, lat)
-			acc.queueWaits = append(acc.queueWaits, wait)
-			requests = append(requests, RequestResult{
-				Stream: names[r.stream], Seq: r.seq,
-				Arrival: r.arrival, Start: r.start, Finish: t,
-				Latency: lat, QueueWait: wait,
-				ServiceCycles: res.TotalCycles,
-				Crossings:     r.crossings, InterchipBytes: r.interBytes,
-				InterchipLogicalBytes: r.interLogical,
-				CodecCycles:           r.codecCycles,
-				ShortcutHandoffBytes:  r.shortcutBytes,
-				BackpressureCycles:    r.queueCycles,
-			})
-			r.run = nil // release the finished run's pool
-			remaining--
-			continue
-		}
-
-		// Chip boundary: evacuate the live state P5-style and ship it.
-		h := r.run.Handoff()
-		bs := r.run.Sched()
-		if _, err := r.run.Suspend(); err != nil {
-			return nil, fmt.Errorf("cluster: %s request %d boundary: %w", names[r.stream], r.seq, err)
-		}
-		spillDelta := r.run.Sched().SpillCycles - bs.SpillCycles
-		t += spillDelta
-		ca.spill += spillDelta
-		// The handoff ships compressed when a codec covers the interchip
-		// class: encode serializes on the source chip before the fabric
-		// sees the payload, decode delays the destination's readiness.
-		payload := h.Total()
-		var decDelay int64
-		if cfg.Compression != nil {
-			wire := cfg.Compression.WireBytes(dram.ClassInterchip, payload)
-			enc, dec := cfg.Compression.CodecCycles(dram.ClassInterchip, payload)
-			t += enc
-			ca.codec += enc
-			chips[segs[r.si].chip].codec += dec
-			decDelay = dec
-			r.interLogical += payload
-			r.codecCycles += enc + dec
-			if r.comp == nil {
-				r.comp = &stats.CompressionStats{}
-			}
-			r.comp.Logical[dram.ClassInterchip] += payload // scmvet:ok accounting codec ledger of the handoff, not a transfer; the fabric records the wire bytes
-			r.comp.Wire[dram.ClassInterchip] += wire       // scmvet:ok accounting codec ledger of the handoff, not a transfer; the fabric records the wire bytes
-			r.comp.SavedBytes += payload - wire
-			r.comp.EncodeCycles += enc
-			r.comp.DecodeCycles += dec
-			payload = wire
-		}
-		ca.freeAt = t
-		tr, err := fabric.Send(seg.chip, segs[r.si].chip, payload, t)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: %s request %d handoff: %w", names[r.stream], r.seq, err)
-		}
-		r.readyAt = tr.Arrive + decDelay
-		r.crossings++
-		r.interBytes += tr.Bytes
-		r.shortcutBytes += h.ShortcutBytes
-		r.queueCycles += tr.QueueCycles
-		interTotal += tr.Bytes
-	}
-
-	res := assemble(spec, names, place, topo, cfg, perStream, chips, requests, fabric.Stats(), makespan, interTotal)
+	res := view(l)
 	publish(reg, res)
 	return res, nil
-}
-
-// segs resolves the request's segment list (all requests of a stream
-// share one placement).
-func (r *reqState) segs(byStream [][]segment) []segment { return byStream[r.stream] }
-
-// profile runs one uncontended single-tenant inference to measure
-// per-layer cycles (the balancing input of LeastLoad/Affinity) and the
-// stream's single-tenant baseline, against which sharded service
-// cycles reconcile bit-identically.
-func profile(ctx context.Context, net *nn.Network, cfg core.Config, strat core.Strategy) ([]int64, int64, error) {
-	run, err := core.NewRun(net, cfg, strat, nil, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	perLayer := make([]int64, run.NumLayers())
-	for !run.Done() {
-		li := run.NextLayer()
-		before := run.Clock()
-		if _, err := run.Step(ctx); err != nil {
-			return nil, 0, err
-		}
-		perLayer[li] += run.Clock() - before
-	}
-	res, err := run.Result()
-	if err != nil {
-		return nil, 0, err
-	}
-	return perLayer, res.TotalCycles, nil
 }

@@ -118,73 +118,64 @@ type Result struct {
 	Compression           *stats.CompressionStats `json:"compression,omitempty"`
 }
 
-// assemble folds the accumulators into the final Result.
-func assemble(spec *sched.Spec, names []string, place Placement, topo noc.Topology,
-	cfg core.Config, perStream []*streamAccum, chips []chipAccum,
-	requests []RequestResult, fstats noc.FabricStats, makespan, interTotal int64) *Result {
+// view is the multi-chip view of a scenario ledger.
+func view(l *sched.Ledger) *Result {
 	res := &Result{
-		Chips:          spec.Chips,
-		Topology:       topo.String(),
-		Placement:      place.String(),
-		Seed:           spec.Seed,
-		PoolBanks:      cfg.Pool.NumBanks,
-		MakespanCycles: makespan,
-		Requests:       requests,
-		Noc:            fstats,
-		InterchipBytes: interTotal,
+		Chips:          l.Spec.Chips,
+		Topology:       l.Topology,
+		Placement:      l.Placement,
+		Seed:           l.Spec.Seed,
+		PoolBanks:      l.Config.Pool.NumBanks,
+		MakespanCycles: l.MakespanCycles,
+		Noc:            l.Noc,
+		Compression:    l.Compression,
 	}
-	for i, acc := range perStream {
-		st := spec.Streams[i]
-		sr := StreamResult{
-			Name:     names[i],
-			Network:  st.Network,
-			Strategy: st.Strategy.String(),
+	for _, s := range l.Streams {
+		res.Streams = append(res.Streams, StreamResult{
+			Name:     s.Name,
+			Network:  s.Network,
+			Strategy: s.Strategy,
 
-			Requests:  st.Requests,
-			Completed: acc.completed,
+			Requests:  s.Requests,
+			Completed: s.Completed,
 
-			Latency:   sched.ComputeQuantiles(acc.latencies),
-			QueueWait: sched.ComputeQuantiles(acc.queueWaits),
+			Latency:     s.Latency,
+			QueueWait:   s.QueueWait,
+			MeanLatency: s.MeanLatency,
 
-			ServiceCycles:      acc.serviceCycles,
-			SingleTenantCycles: acc.singleTenant,
+			ServiceCycles:      s.ServiceCycles,
+			SingleTenantCycles: s.SingleTenantCycles,
 
-			Sched:          acc.schedLedger,
-			Crossings:      acc.crossings,
-			InterchipBytes: acc.interBytes,
-			Traffic:        acc.traffic,
+			Sched:          s.Sched,
+			Crossings:      s.Crossings,
+			InterchipBytes: s.InterchipBytes,
 
-			InterchipLogicalBytes: acc.interLogical,
-			CodecCycles:           acc.codecCycles,
-			Compression:           acc.comp,
-		}
-		if acc.comp != nil {
-			if res.Compression == nil {
-				res.Compression = &stats.CompressionStats{}
-			}
-			res.Compression.Add(*acc.comp)
-			res.InterchipLogicalBytes += acc.interLogical
-		}
-		if n := len(acc.latencies); n > 0 {
-			var sum int64
-			for _, l := range acc.latencies {
-				sum += l
-			}
-			sr.MeanLatency = float64(sum) / float64(n)
-		}
-		res.Streams = append(res.Streams, sr)
-		for c := range acc.traffic {
-			res.Traffic[c] += acc.traffic[c] // scmvet:ok accounting aggregate of per-stream ledgers into the cluster ledger
-		}
-	}
-	res.Traffic[dram.ClassInterchip] = interTotal // scmvet:ok accounting fabric bytes enter the ledger under their own class
-	for c, ca := range chips {
-		res.ChipStats = append(res.ChipStats, ChipResult{
-			Chip: c, Segments: ca.segments,
-			ComputeCycles: ca.compute, SpillCycles: ca.spill, ReloadCycles: ca.reload,
-			CodecCycles: ca.codec,
-			FinishCycle: ca.freeAt,
+			InterchipLogicalBytes: s.InterchipLogicalBytes,
+			CodecCycles:           s.CodecCycles,
+			Compression:           s.Compression,
+			Traffic:               s.Traffic,
 		})
+		res.Traffic.Add(s.Traffic) // scmvet:ok accounting aggregate of per-stream ledgers into the cluster ledger
+		res.InterchipBytes += s.InterchipBytes
+		res.InterchipLogicalBytes += s.InterchipLogicalBytes
+	}
+	res.Traffic[dram.ClassInterchip] = res.InterchipBytes // scmvet:ok accounting fabric bytes enter the ledger under their own class
+	for _, q := range l.Requests {
+		res.Requests = append(res.Requests, RequestResult{
+			Stream: q.Stream, Seq: q.Seq,
+			Arrival: q.Arrival, Start: q.Start, Finish: q.Finish,
+			Latency: q.Latency, QueueWait: q.QueueWait,
+			ServiceCycles:         q.ServiceCycles,
+			Crossings:             q.Crossings,
+			InterchipBytes:        q.InterchipBytes,
+			ShortcutHandoffBytes:  q.ShortcutHandoffBytes,
+			InterchipLogicalBytes: q.InterchipLogicalBytes,
+			CodecCycles:           q.CodecCycles,
+			BackpressureCycles:    q.BackpressureCycles,
+		})
+	}
+	for _, c := range l.Chips {
+		res.ChipStats = append(res.ChipStats, ChipResult(c))
 	}
 	return res
 }

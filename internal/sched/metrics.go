@@ -19,90 +19,36 @@ const (
 	MetricCompressSaved = "scm_sched_compress_saved_bytes_total"
 )
 
-// observer is the scheduler's pre-resolved instrument bundle; a nil
-// *observer disables observation with one branch per site, exactly
-// like core's.
-type observer struct {
-	completedC []*metrics.Counter
-	rejectedC  []*metrics.Counter
-	preemptC   []*metrics.Counter
-	spillC     []*metrics.Counter
-	compSavedC []*metrics.Counter
-	latencyH   []*metrics.Histogram
-	queueH     []*metrics.Histogram
-	residentG  *metrics.Gauge
-	makespanG  *metrics.Gauge
-}
-
-// newObserver registers the per-stream instrument families on reg.
-// Returns nil for a nil registry.
-func newObserver(reg *metrics.Registry, names []string) *observer {
+// publish exports a finished result onto the registry. The simulation
+// is a deterministic batch, so instruments are written once from the
+// assembled result rather than streamed mid-run.
+func publish(reg *metrics.Registry, r *Result) {
 	if reg == nil {
-		return nil
+		return
 	}
-	o := &observer{
-		residentG: reg.Gauge(MetricResidentRuns, "high-water mark of co-resident runs"),
-		makespanG: reg.Gauge(MetricMakespanCycles, "finish cycle of the last completed request"),
-	}
+	reg.Gauge(MetricResidentRuns, "high-water mark of co-resident runs").SetMax(float64(r.PeakResident))
+	reg.Gauge(MetricMakespanCycles, "finish cycle of the last completed request").Set(float64(r.MakespanCycles))
 	// Latency buckets span one fast layer (~1e4 cycles) to minutes of
 	// queueing at 200 MHz (~1e10 cycles).
 	bounds := metrics.ExpBuckets(1e4, 4, 11)
-	for _, name := range names {
-		l := metrics.L("stream", name)
-		o.completedC = append(o.completedC, reg.Counter(MetricRequests,
-			"requests by terminal state", l, metrics.L("state", "completed")))
-		o.rejectedC = append(o.rejectedC, reg.Counter(MetricRequests,
-			"requests by terminal state", l, metrics.L("state", "rejected")))
-		o.preemptC = append(o.preemptC, reg.Counter(MetricPreemptions,
-			"layer-boundary suspensions per stream", l))
-		o.spillC = append(o.spillC, reg.Counter(MetricTenancyBytes,
-			"bytes spilled at preemption and re-loaded at resumption", l))
-		o.compSavedC = append(o.compSavedC, reg.Counter(MetricCompressSaved,
-			"bytes the interlayer codec kept off the DRAM bus", l))
-		o.latencyH = append(o.latencyH, reg.Histogram(MetricLatencyCycles,
-			"request latency (arrival to completion) in cycles", bounds, l))
-		o.queueH = append(o.queueH, reg.Histogram(MetricQueueCycles,
-			"cycles between arrival and first executed layer", bounds, l))
+	latency := map[string]*metrics.Histogram{}
+	queue := map[string]*metrics.Histogram{}
+	for _, s := range r.Streams {
+		l := metrics.L("stream", s.Name)
+		reg.Counter(MetricRequests, "requests by terminal state", l, metrics.L("state", "completed")).Add(int64(s.Completed))
+		reg.Counter(MetricRequests, "requests by terminal state", l, metrics.L("state", "rejected")).Add(int64(s.Rejected))
+		reg.Counter(MetricPreemptions, "layer-boundary suspensions per stream", l).Add(s.Preemptions)
+		reg.Counter(MetricTenancyBytes, "bytes spilled at preemption and re-loaded at resumption", l).Add(s.Sched.SpillBytes)
+		var saved int64
+		if s.Compression != nil {
+			saved = s.Compression.SavedBytes
+		}
+		reg.Counter(MetricCompressSaved, "bytes the interlayer codec kept off the DRAM bus", l).Add(saved)
+		latency[s.Name] = reg.Histogram(MetricLatencyCycles, "request latency (arrival to completion) in cycles", bounds, l)
+		queue[s.Name] = reg.Histogram(MetricQueueCycles, "cycles between arrival and first executed layer", bounds, l)
 	}
-	return o
-}
-
-func (o *observer) completed(stream int, latency, wait int64) {
-	if o != nil {
-		o.completedC[stream].Inc()
-		o.latencyH[stream].Observe(float64(latency))
-		o.queueH[stream].Observe(float64(wait))
-	}
-}
-
-func (o *observer) rejected(stream int) {
-	if o != nil {
-		o.rejectedC[stream].Inc()
-	}
-}
-
-func (o *observer) preempted(stream int, spillBytes int64) {
-	if o != nil {
-		o.preemptC[stream].Inc()
-		o.spillC[stream].Add(spillBytes)
-	}
-}
-
-func (o *observer) compressed(stream int, savedBytes int64) {
-	if o != nil {
-		o.compSavedC[stream].Add(savedBytes)
-	}
-}
-
-func (o *observer) resident(n int) {
-	if o != nil {
-		o.residentG.SetMax(float64(n))
-	}
-}
-
-func (o *observer) finished(makespan int64, peak int) {
-	if o != nil {
-		o.makespanG.Set(float64(makespan))
-		o.residentG.SetMax(float64(peak))
+	for _, q := range r.Requests {
+		latency[q.Stream].Observe(float64(q.Latency))
+		queue[q.Stream].Observe(float64(q.QueueWait))
 	}
 }

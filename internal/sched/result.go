@@ -6,6 +6,7 @@ import (
 
 	"shortcutmining/internal/core"
 	"shortcutmining/internal/dram"
+	"shortcutmining/internal/noc"
 	"shortcutmining/internal/stats"
 )
 
@@ -51,11 +52,6 @@ func quantiles(vals []int64) Quantiles {
 	}
 	return Quantiles{P50: rank(0.50), P95: rank(0.95), P99: rank(0.99)}
 }
-
-// ComputeQuantiles exposes the nearest-rank percentile computation so
-// layers built on this package's result vocabulary (internal/cluster)
-// summarize latencies identically.
-func ComputeQuantiles(vals []int64) Quantiles { return quantiles(vals) }
 
 // StreamResult is one stream's QoS outcome.
 type StreamResult struct {
@@ -159,55 +155,98 @@ func (r *Result) QoSTable() *stats.Table {
 	return t
 }
 
-// assemble folds the accumulators into the final Result.
-func (s *scheduler) assemble() *Result {
+// Ledger is everything one scenario run measured. Result (one chip)
+// and cluster.Result (several chips) are two views of it.
+type Ledger struct {
+	Spec *Spec
+	// Config is the platform the runs used: Batch 1 and the spec's codec.
+	Config core.Config
+	// Placement and Topology name the multi-chip layout; empty on one chip.
+	Placement, Topology string
+
+	MakespanCycles int64
+	PeakResident   int
+
+	Streams  []StreamLedger  // spec order
+	Requests []RequestLedger // every completed request, in completion order
+	Chips    []ChipLedger
+	Noc      noc.FabricStats // zero on one chip
+
+	// Compression sums the stream codec ledgers; nil when compression
+	// is off.
+	Compression *stats.CompressionStats
+}
+
+// StreamLedger is one stream's outcome: the single-chip view plus the
+// sums of its requests' chip-boundary handoffs (zero on one chip).
+type StreamLedger struct {
+	StreamResult
+	Crossings                                          int64
+	InterchipBytes, InterchipLogicalBytes, CodecCycles int64
+
+	latencies, queueWaits []int64
+}
+
+// RequestLedger is one completed request: its single-chip timeline
+// plus what its chip-boundary handoffs cost.
+type RequestLedger struct {
+	RequestStat
+	Handoffs
+	stream int
+}
+
+// Handoffs ledgers a request's chip crossings. Crossings counts the
+// boundaries it traversed; InterchipBytes is the flit-rounded payload
+// it moved over the fabric, of which ShortcutHandoffBytes were pinned
+// shortcut state forced across a placement cut; InterchipLogicalBytes
+// is the pre-codec payload and CodecCycles the interchip encode+decode
+// time on its critical path (both zero without compression);
+// BackpressureCycles is the time its handoffs queued behind competing
+// transfers.
+type Handoffs struct {
+	Crossings                                                   int
+	InterchipBytes, ShortcutHandoffBytes, InterchipLogicalBytes int64
+	CodecCycles, BackpressureCycles                             int64
+}
+
+// ChipLedger is one chip's activity. Segments counts dispatches — one
+// per segment on several chips, one per layer on one chip.
+// ComputeCycles is run-attributed execution; SpillCycles/ReloadCycles
+// the suspend and restore time charged to the chip's DRAM channel;
+// CodecCycles its interchip codec engine time (encode on egress,
+// decode on ingress). FinishCycle is the chip's clock: the cycle it
+// went idle for good once the run has drained.
+type ChipLedger struct {
+	Chip                                     int
+	Segments                                 int64
+	ComputeCycles, SpillCycles, ReloadCycles int64
+	CodecCycles, FinishCycle                 int64
+}
+
+// result is the single-chip view of the ledger.
+func (l *Ledger) result() *Result {
 	res := &Result{
-		Policy:         s.spec.Policy.String(),
-		Seed:           s.spec.Seed,
-		QuantumLayers:  s.quantum,
-		PoolBanks:      s.cfg.Pool.NumBanks,
-		MakespanCycles: s.makespan,
-		PeakResident:   s.peakRes,
+		Policy:         l.Spec.Policy.String(),
+		Seed:           l.Spec.Seed,
+		QuantumLayers:  l.Spec.quantum(),
+		PoolBanks:      l.Config.Pool.NumBanks,
+		MakespanCycles: l.MakespanCycles,
+		PeakResident:   l.PeakResident,
+		Compression:    l.Compression,
 	}
-	for i, acc := range s.perStream {
-		st := s.spec.Streams[i]
-		sr := StreamResult{
-			Name:     s.names[i],
-			Network:  st.Network,
-			Strategy: st.Strategy.String(),
-			Priority: st.Priority,
-
-			Requests:  st.Requests,
-			Completed: acc.completed,
-			Rejected:  acc.rejected,
-
-			Latency:   quantiles(acc.latencies),
-			QueueWait: quantiles(acc.queueWaits),
-
-			Preemptions: acc.preemptions,
-			Sched:       acc.sched,
-
-			ServiceCycles:      acc.serviceCycles,
-			SingleTenantCycles: acc.singleTenant,
-			Traffic:            acc.traffic,
-			Compression:        acc.comp,
-		}
-		if acc.comp != nil {
-			if res.Compression == nil {
-				res.Compression = &stats.CompressionStats{}
-			}
-			res.Compression.Add(*acc.comp)
-		}
-		if n := len(acc.latencies); n > 0 {
-			var sum int64
-			for _, l := range acc.latencies {
-				sum += l
-			}
-			sr.MeanLatency = float64(sum) / float64(n)
-		}
-		res.Streams = append(res.Streams, sr)
-		res.Requests = append(res.Requests, acc.requests...)
+	for _, s := range l.Streams {
+		res.Streams = append(res.Streams, s.StreamResult)
 	}
-	sort.SliceStable(res.Requests, func(a, b int) bool { return res.Requests[a].Finish < res.Requests[b].Finish })
+	// Requests list by finish cycle, ties in stream order.
+	reqs := append([]RequestLedger(nil), l.Requests...)
+	sort.SliceStable(reqs, func(a, b int) bool {
+		if reqs[a].Finish != reqs[b].Finish {
+			return reqs[a].Finish < reqs[b].Finish
+		}
+		return reqs[a].stream < reqs[b].stream
+	})
+	for _, q := range reqs {
+		res.Requests = append(res.Requests, q.RequestStat)
+	}
 	return res
 }

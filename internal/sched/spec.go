@@ -1,7 +1,9 @@
 // Package sched is the multi-tenant scheduling simulator: N request
 // streams — each a model-zoo network with a seeded arrival process —
 // time-share one accelerator's bank pool, interleaved at layer
-// granularity through the resumable core.Run API. The scheduler is
+// granularity through the resumable core.Run API. The same event loop
+// shards a scenario across several chips joined by a noc fabric
+// (Spec.Chips > 1, reported by internal/cluster). The scheduler is
 // fully deterministic: the same Spec (seed included) always produces
 // byte-identical per-stream statistics.
 //
@@ -117,9 +119,11 @@ type Spec struct {
 	// codec engine sits at the memory controller, not per tenant.
 	Compress *compress.Config `json:"compress,omitempty"`
 
-	// Chips shards the scenario across N simulated accelerators
-	// (internal/cluster), each with its own bank pool, connected by a
-	// contended interconnect. 0 or 1 = single chip (this package).
+	// Chips shards the scenario across N simulated accelerators, each
+	// with its own bank pool, connected by a contended interconnect
+	// (reported by internal/cluster). 0 or 1 = single chip. A
+	// multi-chip spec takes none of the single-chip policy clauses
+	// (policy, quantum, maxresident, stream prio and banks).
 	Chips int `json:"chips,omitempty"`
 	// Topology wires the chips when Chips > 1: ring | mesh | all
 	// (default ring).
@@ -176,6 +180,11 @@ func (s *Spec) Validate() error {
 		if st.MinBanks < 0 {
 			return fmt.Errorf("sched: stream %d (%s) has negative min-banks", i, st.Network)
 		}
+		switch st.Strategy {
+		case core.Baseline, core.FMReuse, core.SCM:
+		default:
+			return fmt.Errorf("sched: stream %d (%s) has unknown strategy %d", i, st.Network, int(st.Strategy))
+		}
 		total += st.Requests
 	}
 	if total > maxSpecRequests {
@@ -184,11 +193,10 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// validateCluster checks the multi-chip clauses. Topology names defer
-// to the authoritative noc parser; the placement vocabulary must stay
-// in sync with cluster.ParsePlacement (cluster imports sched, so its
-// parser cannot be called from here — a cluster unit test pins the
-// two equal).
+// validateCluster checks the multi-chip clauses, and that a multi-chip
+// spec carries none of the single-chip policy clauses: chips>1 runs
+// every segment to its end, earliest start first, and has no admission
+// control to apply banks= to.
 func (s *Spec) validateCluster() error {
 	if s.Chips < 0 {
 		return fmt.Errorf("sched: negative chips %d", s.Chips)
@@ -201,10 +209,8 @@ func (s *Spec) validateCluster() error {
 			return err
 		}
 	}
-	switch s.Placement {
-	case "", "hash", "leastload", "affinity":
-	default:
-		return fmt.Errorf("sched: unknown placement %q (want hash, leastload, affinity)", s.Placement)
+	if _, err := ParsePlacement(s.Placement); err != nil {
+		return err
 	}
 	if s.LinkGBps < 0 {
 		return fmt.Errorf("sched: negative link bandwidth %g", s.LinkGBps)
@@ -215,7 +221,25 @@ func (s *Spec) validateCluster() error {
 	if s.Chips <= 1 && (s.Topology != "" || s.Placement != "" || s.LinkGBps != 0 || s.HopLatency != 0) {
 		return fmt.Errorf("sched: topo/place/linkgbps/hoplat require chips>1")
 	}
+	if s.Chips > 1 {
+		if s.Policy != FCFS || s.QuantumLayers != 0 || s.MaxResident != 0 {
+			return fmt.Errorf("sched: policy/quantum/maxresident require chips<=1")
+		}
+		for i, st := range s.Streams {
+			if st.Priority != 0 || st.MinBanks != 0 {
+				return fmt.Errorf("sched: stream %d (%s): prio/banks require chips<=1", i, st.Network)
+			}
+		}
+	}
 	return nil
+}
+
+// quantum is the round-robin quantum in effect.
+func (s *Spec) quantum() int {
+	if s.QuantumLayers > 0 {
+		return s.QuantumLayers
+	}
+	return DefaultQuantum
 }
 
 // String renders the spec in the grammar ParseSpec reads, so a spec
@@ -286,7 +310,7 @@ func (s *Spec) String() string {
 //	quantum=4                    round-robin quantum in layers (default 8)
 //	maxresident=2                bound on launched-but-unfinished runs
 //	compress=zvc:sparsity=0.5    interlayer feature-map codec (compress.ParseSpec)
-//	chips=3                      shard across 3 chips (internal/cluster)
+//	chips=3                      shard across 3 chips (fcfs only; reported by internal/cluster)
 //	topo=mesh                    interconnect wiring: ring | mesh | all
 //	place=affinity               layer placement: hash | leastload | affinity
 //	linkgbps=16                  per-link bandwidth (GB/s)

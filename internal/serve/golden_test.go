@@ -385,24 +385,28 @@ func TestGoldenHTTP(t *testing.T) {
 	post("/v1/schedule", `{"spec":"`+goldenScheduleSpec+`"}`)
 	post("/v1/cluster", `{"spec":"`+goldenClusterSpec+`"}`)
 	// Rows added to a table after the golden was captured post after
-	// every captured row, so the captured entries — and the request IDs
-	// their job views carry — stay where they were.
+	// every earlier row, so the captured entries — and the request IDs
+	// their job views carry — stay where they were. cuts holds each
+	// table's length at the capture and at every later append.
 	tables := []struct {
-		path     string
-		rows     []badRequest
-		captured int
+		path string
+		rows []badRequest
+		cuts []int
 	}{
-		{"/v1/simulate", simulateBadRequests, 6},
-		{"/v1/schedule", scheduleBadRequests, 7},
-		{"/v1/cluster", clusterBadRequests, 5},
+		{"/v1/simulate", simulateBadRequests, []int{6, 10}},
+		{"/v1/schedule", scheduleBadRequests, []int{7, 9}},
+		{"/v1/cluster", clusterBadRequests, []int{5, 6}},
 	}
-	for _, added := range []bool{false, true} {
+	for phase := 0; phase <= 2; phase++ {
 		for _, table := range tables {
-			rows := table.rows[:table.captured]
-			if added {
-				rows = table.rows[table.captured:]
+			lo, hi := 0, len(table.rows)
+			if phase > 0 {
+				lo = table.cuts[phase-1]
 			}
-			for _, tc := range rows {
+			if phase < len(table.cuts) {
+				hi = table.cuts[phase]
+			}
+			for _, tc := range table.rows[lo:hi] {
 				post(table.path, tc.body)
 			}
 		}

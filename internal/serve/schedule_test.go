@@ -112,6 +112,7 @@ var scheduleBadRequests = []badRequest{
 	{"zero requests", `{"spec":"stream=densechain:n=0"}`},
 	{"trailing data", `{"spec":"stream=densechain:n=1"} trailing-garbage`},
 	{"multi chip", `{"spec":"seed=1;chips=3;stream=squeezenet:n=1,gap=1000"}`},
+	{"unknown strategy", `{"scenario":{"seed":1,"streams":[{"network":"squeezenet","requests":1,"strategy":99}]}}`},
 }
 
 // TestHTTPScheduleBadRequests pins the 400 paths.

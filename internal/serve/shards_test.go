@@ -61,6 +61,8 @@ var clusterBadRequests = []badRequest{
 	{"bad grammar", `{"spec":"chips=two;stream=squeezenet:n=1"}`},
 	{"both", `{"spec":"chips=2;stream=squeezenet:n=1","scenario":{"chips":2,"streams":[{"network":"squeezenet","requests":1}]}}`},
 	{"trailing data", `{"spec":"chips=2;stream=squeezenet:n=1"} trailing-garbage`},
+	{"single-chip clauses", `{"spec":"seed=1;chips=2;policy=prio;quantum=3;maxresident=1;stream=squeezenet:n=2,prio=4,banks=100000"}`},
+	{"stream banks", `{"scenario":{"seed":1,"chips":2,"streams":[{"network":"squeezenet","requests":1,"min_banks":10}]}}`},
 }
 
 // TestHTTPClusterBadRequests pins the 400 paths of /v1/cluster.

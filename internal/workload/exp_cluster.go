@@ -24,9 +24,9 @@ func init() {
 }
 
 // e24Streams is the fixed sharded scenario: a shortcut-heavy ResNet
-// stream and a bursty bypass-dominated stream, dense enough that link
-// occupancy windows overlap and backpressure is non-zero on the
-// narrower topologies.
+// stream and a bursty bypass-dominated stream. At this density link
+// occupancy windows rarely overlap: only hash placement's ping-pong
+// handoffs ever queue, for a few thousand cycles at most.
 const e24Streams = "stream=resnet34:n=3,gap=400000,name=resnet;" +
 	"stream=squeezenet-bypass:n=5,gap=150000,poisson,name=bypass"
 
@@ -98,8 +98,10 @@ func runE24(cfg core.Config) (Result, error) {
 		"Hash placement balances segments blindly and pays the most boundary crossings; "+
 			"affinity placement keeps pinned-shortcut liveness spans on one chip, cutting both "+
 			"interchip bytes and the handoff share that is forced shortcut state. "+
-			"Richer topologies absorb the same traffic with less backpressure (all-to-all "+
-			"gives every pair a private link; the ring serializes). Every cell reconciles: "+
+			"At this load the topology barely matters: only hash placement queues any transfer "+
+			"(64 cycles of backpressure on ring and all-to-all, 4,532 on mesh), so every "+
+			"backpressure cell reads 0.00 Mcyc and makespans differ across topologies by at most "+
+			"0.01 Mcyc. Every cell reconciles: "+
 			"per-request service cycles stay bit-identical to single-tenant runs, and fabric "+
 			"bytes re-appear as the interchip class of the DRAM traffic ledger.")
 	return res, nil
