@@ -35,10 +35,11 @@
 //     calling a context-free module function that reaches one through
 //     the call graph.
 //   - snapshotstable: every struct reachable from the configured
-//     serialized-schema roots (core.RunSnapshot, journal records,
-//     BENCH_*.json) must have only exported fields with explicit json
-//     tags, and no map, interface, func, or chan fields — schema drift
-//     there silently breaks crash recovery and the bench -check gate.
+//     serialized-schema roots (core.RunSnapshot, journal records, the
+//     host object of every benchmark report) must have only exported
+//     fields with explicit json tags, and no map, interface, func, or
+//     chan fields — schema drift there silently breaks crash recovery
+//     and the decoding of committed benchmark reports.
 //   - determinism-transitive: a function in a deterministic package
 //     must not *reach* a wall-clock read, global-rand call, or map
 //     range through the call graph, even when the operation lives in a
@@ -115,13 +116,6 @@ type Config struct {
 	// package regardless.
 	DeterministicPkgs []string
 
-	// DeterminismExemptPkgs are library packages the determinism check
-	// skips entirely — measurement code whose contract is reading the
-	// wall clock (internal/bench). The exemption is by package, not by
-	// annotation, because every timing read there is legitimate and
-	// line-level scmvet:ok noise would drown the real annotations.
-	DeterminismExemptPkgs []string
-
 	// NoPanicExemptPkgs may panic: documented must-not-fail registration
 	// paths where returning an error would be worse than crashing.
 	NoPanicExemptPkgs []string
@@ -156,13 +150,12 @@ func DefaultConfig() Config {
 			"internal/dse", "internal/report", "internal/stats",
 			"internal/metrics", "internal/noc", "internal/cluster",
 		},
-		DeterminismExemptPkgs: []string{"internal/bench"},
-		NoPanicExemptPkgs:     []string{"internal/metrics"},
-		LedgerTypes:           []string{"internal/dram.Traffic"},
-		LedgerWriterPkgs:      []string{"internal/dram", "internal/sram"},
-		NeverFailTypes:        []string{"strings.Builder", "bytes.Buffer", "hash.Hash", "hash.Hash32", "hash.Hash64"},
+		NoPanicExemptPkgs: []string{"internal/metrics"},
+		LedgerTypes:       []string{"internal/dram.Traffic"},
+		LedgerWriterPkgs:  []string{"internal/dram", "internal/sram"},
+		NeverFailTypes:    []string{"strings.Builder", "bytes.Buffer", "hash.Hash", "hash.Hash32", "hash.Hash64"},
 		SnapshotRoots: []string{
-			"internal/core.RunSnapshot", "internal/journal.Record", "internal/bench.Report",
+			"internal/core.RunSnapshot", "internal/journal.Record", "internal/bench.Host",
 		},
 	}
 }

@@ -242,35 +242,3 @@ func TestFindingString(t *testing.T) {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
 }
-
-// TestDeterminismExemptPkg pins the internal/bench contract: the
-// corpus package full of bare time.Now/Since/Until and global-rand
-// reads produces zero findings, because measuring wall-clock time is
-// that package's job. Removing the exemption from DefaultConfig must
-// fail this test.
-func TestDeterminismExemptPkg(t *testing.T) {
-	_, findings := corpusFindings(t)
-	for _, f := range findings {
-		if strings.HasPrefix(f.File, "internal/bench/") {
-			t.Errorf("determinism-exempt package flagged: %+v", f)
-		}
-	}
-
-	// The exemption is per-package, not global: the same wall-clock
-	// read outside internal/bench still fires.
-	cfg := DefaultConfig()
-	cfg.DeterminismExemptPkgs = nil
-	mod, err := LoadModule(filepath.Join("testdata", "src"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var benchFindings int
-	for _, f := range Run(mod, cfg) {
-		if strings.HasPrefix(f.File, "internal/bench/") && f.Check == CheckDeterminism {
-			benchFindings++
-		}
-	}
-	if benchFindings == 0 {
-		t.Fatal("corpus bench package produced no determinism findings without the exemption; the corpus no longer exercises the check")
-	}
-}

@@ -55,7 +55,7 @@ var globalRandAllowed = map[string]bool{
 // math/rand generator in every library package, and map iteration in
 // the packages whose outputs must be bit-identical across runs.
 func checkDeterminism(p *pass) {
-	if isCommandPkg(p.pkg.RelPath) || contains(p.cfg.DeterminismExemptPkgs, p.pkg.RelPath) {
+	if isCommandPkg(p.pkg.RelPath) {
 		return
 	}
 	det := contains(p.cfg.DeterministicPkgs, p.pkg.RelPath)

@@ -1,17 +1,11 @@
 package bench
 
-// Report is a configured schema root (DefaultConfig.SnapshotRoots) and
-// is fully clean: this package must stay finding-free (the determinism
-// exemption test pins that), so it doubles as proof that a compliant
-// schema produces no snapshotstable noise.
-type Report struct {
-	Schema string      `json:"schema"`
-	Runs   []RunReport `json:"runs"`
-}
-
-// RunReport is reached through Report.Runs.
-type RunReport struct {
-	Name    string  `json:"name"`
-	Cycles  int64   `json:"cycles"`
-	Seconds float64 `json:"seconds,omitempty"`
+// Host is a configured schema root (DefaultConfig.SnapshotRoots) and is
+// fully clean, so it doubles as proof that a compliant schema produces
+// no snapshotstable noise.
+type Host struct {
+	GoVersion string `json:"go_version"`
+	GOOS      string `json:"goos"`
+	GOARCH    string `json:"goarch"`
+	CPUs      int    `json:"cpus"`
 }

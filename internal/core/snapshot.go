@@ -175,10 +175,19 @@ func (s *RunSnapshot) Validate(net *nn.Network) error {
 	if s.EncodeCycles < 0 || s.DecodeCycles < 0 {
 		return fmt.Errorf("core: snapshot has negative codec cycles (enc %d, dec %d)", s.EncodeCycles, s.DecodeCycles)
 	}
+	// left[p] counts the layers still to run that read producer p: the
+	// consumers its resident record must have left.
+	cp := buildConsumptionPlan(net)
+	left := make([]int, n)
+	for _, distinct := range cp.distinct[s.Next:] {
+		for _, p := range distinct {
+			left[p]++
+		}
+	}
 	seen := make([]bool, n)
 	for _, rs := range s.Residents {
-		if rs.Producer < 0 || rs.Producer >= n {
-			return fmt.Errorf("core: snapshot resident producer %d outside [0, %d)", rs.Producer, n)
+		if rs.Producer < 0 || rs.Producer >= s.Next {
+			return fmt.Errorf("core: snapshot resident producer %d outside the executed layers [0, %d)", rs.Producer, s.Next)
 		}
 		if seen[rs.Producer] {
 			return fmt.Errorf("core: snapshot has duplicate resident for producer %d", rs.Producer)
@@ -187,6 +196,15 @@ func (s *RunSnapshot) Validate(net *nn.Network) error {
 		if rs.Total < 0 || rs.OnChip < 0 || rs.Spilled < 0 || rs.OnChip > rs.Total {
 			return fmt.Errorf("core: snapshot resident %d has inconsistent byte counts (total %d, on-chip %d, spilled %d)",
 				rs.Producer, rs.Total, rs.OnChip, rs.Spilled)
+		}
+		if rs.ConsumersLeft != left[rs.Producer] || rs.LastUse != cp.lastUse[rs.Producer] {
+			return fmt.Errorf("core: snapshot resident %d has %d consumers left and last use %d, the network has %d and %d",
+				rs.Producer, rs.ConsumersLeft, rs.LastUse, left[rs.Producer], cp.lastUse[rs.Producer])
+		}
+	}
+	for p := range s.Next {
+		if left[p] > 0 && !seen[p] {
+			return fmt.Errorf("core: snapshot has no resident record for producer %d, which %d layers still read", p, left[p])
 		}
 	}
 	for _, sb := range s.Saved {

@@ -265,12 +265,26 @@ func TestSnapshotValidate(t *testing.T) {
 		{"resident producer", func(s *RunSnapshot) {
 			s.Residents = append(s.Residents, ResidentSnapshot{Producer: 5000})
 		}, "producer"},
+		{"unexecuted resident", func(s *RunSnapshot) {
+			s.Residents = append(s.Residents, ResidentSnapshot{Producer: s.Next})
+		}, "executed layers"},
 		{"duplicate resident", func(s *RunSnapshot) {
 			s.Residents = append(s.Residents, s.Residents[0])
 		}, "duplicate"},
 		{"resident bytes", func(s *RunSnapshot) {
 			s.Residents[0].OnChip = s.Residents[0].Total + 1
 		}, "byte counts"},
+		{"consumers left", func(s *RunSnapshot) {
+			s.Residents[0].ConsumersLeft++
+		}, "consumers left"},
+		{"last use", func(s *RunSnapshot) {
+			s.Residents[0].LastUse = -1
+		}, "last use"},
+		// A needed producer without its record would panic on a nil
+		// resident at the next Step.
+		{"missing resident", func(s *RunSnapshot) {
+			s.Residents, s.Saved = nil, nil
+		}, "no resident record"},
 		{"saved role", func(s *RunSnapshot) {
 			s.Saved = append(s.Saved, SavedBuffer{Producer: good.Residents[0].Producer, Banks: 1, Role: 42})
 		}, "role"},
@@ -301,4 +315,66 @@ func TestSnapshotValidate(t *testing.T) {
 		!strings.Contains(err.Error(), "fault") {
 		t.Errorf("RestoreRun under faulty config = %v, want refusal", err)
 	}
+}
+
+// FuzzRestoreRun feeds RestoreRun what journal replay feeds it: a
+// RunSnapshot decoded from JSON bytes. A snapshot either is refused
+// with an error (by Validate, RestoreRun or a later Step) or steps to
+// completion; no input may panic. The corpus holds snapshots taken at
+// several layer boundaries of two networks under every strategy.
+func FuzzRestoreRun(f *testing.F) {
+	cfg := Default()
+	nets := map[string]*nn.Network{}
+	for _, name := range []string{"resnet18", "squeezenet-bypass"} {
+		net := nn.MustBuild(name)
+		nets[name] = net
+		n := len(net.Layers)
+		for _, strat := range Strategies() {
+			r, err := NewRun(net, cfg, strat, nil, nil)
+			if err != nil {
+				f.Fatal(err)
+			}
+			for _, at := range []int{1, n / 3, 2 * n / 3, n - 1} {
+				for r.NextLayer() < at {
+					if _, err := r.Step(context.Background()); err != nil {
+						f.Fatal(err)
+					}
+				}
+				if _, err := r.Suspend(); err != nil {
+					f.Fatal(err)
+				}
+				snap, err := r.Snapshot()
+				if err != nil {
+					f.Fatal(err)
+				}
+				b, err := json.Marshal(snap)
+				if err != nil {
+					f.Fatal(err)
+				}
+				f.Add(b)
+			}
+		}
+	}
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`null`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var snap *RunSnapshot
+		if err := json.Unmarshal(data, &snap); err != nil {
+			return
+		}
+		net := nets["resnet18"]
+		if snap != nil && nets[snap.Network] != nil {
+			net = nets[snap.Network]
+		}
+		r, err := RestoreRun(net, cfg, snap)
+		if err != nil {
+			return
+		}
+		for done := false; !done; {
+			if done, err = r.Step(context.Background()); err != nil {
+				return
+			}
+		}
+	})
 }
