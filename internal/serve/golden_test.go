@@ -15,8 +15,10 @@ import (
 	"testing"
 	"time"
 
+	"shortcutmining/internal/compress"
 	"shortcutmining/internal/core"
 	"shortcutmining/internal/dse"
+	"shortcutmining/internal/fault"
 	"shortcutmining/internal/journal"
 	"shortcutmining/internal/nn"
 	"shortcutmining/internal/sched"
@@ -411,5 +413,71 @@ func TestGoldenHTTP(t *testing.T) {
 			}
 		}
 	}
+	// Appended after the capture above: a repeated synchronous simulate
+	// answered from the cache, and an error whose message needs HTML and
+	// backslash escaping.
+	post("/v1/simulate", `{"network":"densechain"}`)
+	post("/v1/simulate", `{"network":"<a&b> \"q\" \\ é"}`)
 	checkGolden(t, "http.golden", out.Bytes())
+}
+
+// goldenEscapedGraph is an inline network whose names need JSON
+// escaping: HTML characters, quotes, backslash runs and non-ASCII.
+const goldenEscapedGraph = `{"name":"esc<&>\"net\"\\ é","input":{"c":3,"h":16,"w":16},"layers":[
+ {"name":"conv<1>&\\\\","op":"conv","inputs":["input"],"stage":"s\"1\"\u2028","out_channels":8,"kernel":3,"stride":1,"pad":1},
+ {"name":"branch ü\\\"","op":"conv","inputs":["conv<1>&\\\\"],"out_channels":8,"kernel":1,"stride":1},
+ {"name":"sum>","op":"add","inputs":["conv<1>&\\\\","branch ü\\\""]},
+ {"name":"pool\t","op":"pool","pool":"max","inputs":["sum>"],"kernel":2,"stride":2}]}`
+
+// TestGoldenKeys pins the cache key of a fixed set of requests and the
+// shard that owns each key in a 3-shard deployment, which reads the
+// key's first 8 bytes. Keys are content addresses that persist only in
+// the cache, but a change to them silently reshuffles shard ownership.
+func TestGoldenKeys(t *testing.T) {
+	faulty := core.Default()
+	spec, err := fault.ParseSpec("seed=42;bank-fail@4:n=3;dma-drop:p=0.02")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty.Faults = spec
+	compressed := core.Default()
+	if compressed.Compression, err = compress.ParseSpec("zvc:sparsity=0.5,enc=2,dec=2"); err != nil {
+		t.Fatal(err)
+	}
+	escaped, err := nn.DecodeJSON(strings.NewReader(goldenEscapedGraph))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type row struct {
+		label string
+		req   Request
+	}
+	var rows []row
+	for _, name := range []string{"densechain", "squeezenet-bypass", "resnet34", "mobilenetv2", "densenet121", "shufflenetv1"} {
+		net := goldenNet(t, name)
+		for _, strat := range core.Strategies() {
+			for _, observe := range []bool{false, true} {
+				rows = append(rows, row{fmt.Sprintf("%s/%s/observe=%t", name, strat, observe),
+					Request{Net: net, Cfg: core.Default(), Strategy: strat, Observe: observe}})
+			}
+		}
+	}
+	rows = append(rows,
+		row{"resnet34/scm/faults", Request{Net: goldenNet(t, "resnet34"), Cfg: faulty, Strategy: core.SCM}},
+		row{"resnet34/scm/compression", Request{Net: goldenNet(t, "resnet34"), Cfg: compressed, Strategy: core.SCM}},
+		row{"escaped/scm", Request{Net: escaped, Cfg: core.Default(), Strategy: core.SCM}},
+		row{"escaped/baseline/observe=true", Request{Net: escaped, Cfg: batchConfig(2), Strategy: core.Baseline, Observe: true}},
+	)
+
+	shards := &Shards{engines: make([]*Engine, 3)}
+	var out bytes.Buffer
+	for _, r := range rows {
+		k, err := RequestKey(r.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&out, "%s %s owner3=%d\n", r.label, k, shards.owner(k))
+	}
+	checkGolden(t, "keys.golden", out.Bytes())
 }
