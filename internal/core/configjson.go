@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"shortcutmining/internal/jsonindent"
 )
 
 // DecodeConfigJSON reads a platform configuration. Fields absent from
@@ -29,7 +31,5 @@ func DecodeConfigJSON(r io.Reader) (Config, error) {
 // EncodeConfigJSON writes the configuration in the format
 // DecodeConfigJSON reads.
 func EncodeConfigJSON(w io.Writer, cfg Config) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(cfg)
+	return jsonindent.Encode(w, cfg)
 }

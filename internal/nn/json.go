@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"shortcutmining/internal/jsonindent"
 	"shortcutmining/internal/tensor"
 )
 
@@ -170,7 +171,5 @@ func EncodeJSON(w io.Writer, n *Network) error {
 		}
 		jn.Layers = append(jn.Layers, jl)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(jn)
+	return jsonindent.Encode(w, jn)
 }

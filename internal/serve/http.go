@@ -13,6 +13,7 @@ import (
 
 	"shortcutmining/internal/core"
 	"shortcutmining/internal/dse"
+	"shortcutmining/internal/jsonindent"
 	"shortcutmining/internal/nn"
 	"shortcutmining/internal/sched"
 	"shortcutmining/internal/stats"
@@ -135,10 +136,8 @@ func NewHandler(e *Engine) http.Handler {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
 	// scmvet:ok ignorederr the response status is already committed; nothing useful can be done
-	enc.Encode(v)
+	jsonindent.Encode(w, v)
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
