@@ -87,10 +87,10 @@ type CacheStats struct {
 }
 
 // Cache is a content-addressed LRU result cache with a byte budget.
-// Entry cost is the JSON-encoded size of the RunStats — the same bytes
-// a client would receive — so the budget bounds real memory within a
-// small constant factor. Cached RunStats are shared structures and
-// must be treated as read-only by callers.
+// Entry cost is the compact json.Marshal size of the RunStats, which
+// bounds real memory within a small constant factor. A client receives
+// the indented reply instead, about 1.9× larger. Cached RunStats are
+// shared structures and must be treated as read-only by callers.
 type Cache struct {
 	mu     sync.Mutex
 	budget int64                 // immutable after construction
@@ -107,7 +107,7 @@ type cacheEntry struct {
 	size int64
 }
 
-// NewCache builds a cache bounded to budgetBytes of encoded results.
+// NewCache builds a cache bounded to budgetBytes of compact-encoded results.
 // A non-positive budget disables caching (every Get misses).
 func NewCache(budgetBytes int64) *Cache {
 	return &Cache{budget: budgetBytes, ll: list.New(), byKey: make(map[Key]*list.Element)}
