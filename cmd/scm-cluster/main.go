@@ -24,7 +24,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -38,6 +37,7 @@ import (
 	"shortcutmining"
 
 	"shortcutmining/internal/cluster"
+	"shortcutmining/internal/jsonindent"
 	"shortcutmining/internal/metrics"
 	"shortcutmining/internal/serve"
 	"shortcutmining/internal/trace"
@@ -114,9 +114,7 @@ func runOffline(specStr, config string, asJSON, asCSV, requests, links bool, tra
 
 	switch {
 	case asJSON:
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
+		if err := jsonindent.Encode(os.Stdout, res); err != nil {
 			return err
 		}
 	case requests:

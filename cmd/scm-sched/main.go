@@ -13,13 +13,13 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 
 	"shortcutmining"
 
+	"shortcutmining/internal/jsonindent"
 	"shortcutmining/internal/metrics"
 	"shortcutmining/internal/sched"
 )
@@ -64,9 +64,7 @@ func main() {
 
 	switch {
 	case *asJSON:
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
+		if err := jsonindent.Encode(os.Stdout, res); err != nil {
 			fatal(err)
 		}
 	case *requests:

@@ -14,7 +14,7 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -24,6 +24,7 @@ import (
 	"shortcutmining"
 
 	"shortcutmining/internal/core"
+	"shortcutmining/internal/jsonindent"
 	"shortcutmining/internal/metrics"
 	"shortcutmining/internal/tensor"
 )
@@ -101,14 +102,12 @@ func main() {
 	if *withMet {
 		reg = metrics.New()
 	}
-	r, err := core.SimulateObserved(net, cfg, s, nil, reg)
+	r, err := core.SimulateObservedContext(context.Background(), net, cfg, s, nil, reg)
 	if err != nil {
 		fatal(err)
 	}
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(r); err != nil {
+		if err := jsonindent.Encode(os.Stdout, r); err != nil {
 			fatal(err)
 		}
 		return

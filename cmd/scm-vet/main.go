@@ -25,7 +25,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -34,6 +33,7 @@ import (
 	"strings"
 
 	"shortcutmining/internal/analysis"
+	"shortcutmining/internal/jsonindent"
 )
 
 func main() {
@@ -129,12 +129,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *jsonOut {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
 		if findings == nil {
 			findings = []analysis.Finding{}
 		}
-		if err := enc.Encode(findings); err != nil {
+		if err := jsonindent.Encode(stdout, findings); err != nil {
 			fmt.Fprintln(stderr, "scm-vet:", err)
 			return 2
 		}

@@ -82,7 +82,7 @@ func TestSimulateContextNilAndBackground(t *testing.T) {
 func TestConcurrentSimulateDeterministic(t *testing.T) {
 	net := nn.MustResNet(34)
 	cfg := Default()
-	want, err := SimulateObserved(net, cfg, SCM, nil, metrics.New())
+	want, err := SimulateObservedContext(context.Background(), net, cfg, SCM, nil, metrics.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestConcurrentSimulateDeterministic(t *testing.T) {
 			defer wg.Done()
 			// Per-run registry isolation: each goroutine observes into
 			// its own registry, the pattern the serve engine enforces.
-			got[w], errs[w] = SimulateObserved(net, cfg, SCM, nil, metrics.New())
+			got[w], errs[w] = SimulateObservedContext(context.Background(), net, cfg, SCM, nil, metrics.New())
 		}(w)
 	}
 	wg.Wait()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"shortcutmining/internal/fault"
@@ -327,7 +328,7 @@ func TestFaultMetricsAndTrace(t *testing.T) {
 	}
 	reg := metrics.New()
 	var buf trace.Buffer
-	run, err := SimulateObserved(net, cfg, SCM, &buf, reg)
+	run, err := SimulateObservedContext(context.Background(), net, cfg, SCM, &buf, reg)
 	if err != nil {
 		t.Fatal(err)
 	}

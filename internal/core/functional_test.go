@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"shortcutmining/internal/nn"
@@ -76,8 +77,11 @@ func funcConfig(banks int) Config {
 func TestFunctionalAllStrategiesGenerousPool(t *testing.T) {
 	for _, net := range funcNets(t) {
 		for _, s := range Strategies() {
-			if _, err := VerifyFunctional(net, funcConfig(96), s.Features(), 1); err != nil {
+			r, err := VerifyFunctional(net, funcConfig(96), s.Features(), 1)
+			if err != nil {
 				t.Errorf("%s/%s: %v", net.Name, s, err)
+			} else if want := s.String() + "+functional"; r.Strategy != want {
+				t.Errorf("%s/%s: labelled %q, want %q", net.Name, s, r.Strategy, want)
 			}
 		}
 	}
@@ -107,8 +111,11 @@ func TestFunctionalAblationFeatureSets(t *testing.T) {
 	}
 	for _, net := range funcNets(t) {
 		for i, f := range sets {
-			if _, err := VerifyFunctional(net, funcConfig(14), f, 99); err != nil {
+			r, err := VerifyFunctional(net, funcConfig(14), f, 99)
+			if err != nil {
 				t.Errorf("%s/set%d: %v", net.Name, i, err)
+			} else if want := featureLabel(f) + "+functional"; r.Strategy != want {
+				t.Errorf("%s/set%d: labelled %q, want %q", net.Name, i, r.Strategy, want)
 			}
 		}
 	}
@@ -153,5 +160,15 @@ func TestFunctionalDeterministic(t *testing.T) {
 	}
 	if a.FmapTrafficBytes() != b.FmapTrafficBytes() || a.TotalCycles != b.TotalCycles {
 		t.Error("functional runs are not deterministic")
+	}
+}
+
+// TestFunctionalLayerError: a layer that fails in functional mode is
+// reported with the network and the layer it failed in.
+func TestFunctionalLayerError(t *testing.T) {
+	// Four 1 KiB banks cannot hold conv1's minimal input stripe.
+	_, err := VerifyFunctional(nn.MustResNet(18), funcConfig(4), SCM.Features(), 3)
+	if err == nil || !strings.Contains(err.Error(), "resnet18: layer conv1:") {
+		t.Errorf("starved pool: err %v, want it to name resnet18 and conv1", err)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"shortcutmining/internal/metrics"
@@ -13,7 +14,7 @@ func TestLayerCycleMetricsSumToTotal(t *testing.T) {
 		cfg := smallConfig()
 		cfg.Batch = batch
 		reg := metrics.New()
-		r, err := SimulateObserved(n, cfg, SCM, nil, reg)
+		r, err := SimulateObservedContext(context.Background(), n, cfg, SCM, nil, reg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,7 +34,7 @@ func TestLayerCycleMetricsSumToTotal(t *testing.T) {
 func TestDRAMMetricsMatchTraffic(t *testing.T) {
 	n := residualNet(t)
 	reg := metrics.New()
-	r, err := SimulateObserved(n, smallConfig(), Baseline, nil, reg)
+	r, err := SimulateObservedContext(context.Background(), n, smallConfig(), Baseline, nil, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestProcedureCounters(t *testing.T) {
 
 	// Baseline streams every shortcut from DRAM: p3 misses, no hits.
 	reg := metrics.New()
-	if _, err := SimulateObserved(n, smallConfig(), Baseline, nil, reg); err != nil {
+	if _, err := SimulateObservedContext(context.Background(), n, smallConfig(), Baseline, nil, reg); err != nil {
 		t.Fatal(err)
 	}
 	p3 := metrics.L("proc", ProcRetention)
@@ -70,7 +71,7 @@ func TestProcedureCounters(t *testing.T) {
 
 	// SCM on a fitting pool serves the shortcut and role switch on-chip.
 	reg = metrics.New()
-	if _, err := SimulateObserved(n, smallConfig(), SCM, nil, reg); err != nil {
+	if _, err := SimulateObservedContext(context.Background(), n, smallConfig(), SCM, nil, reg); err != nil {
 		t.Fatal(err)
 	}
 	if reg.Counter(MetricProcHits, "", p3).Value() == 0 {
@@ -84,7 +85,7 @@ func TestProcedureCounters(t *testing.T) {
 func TestPoolPeakGaugeMatchesRunStats(t *testing.T) {
 	n := residualNet(t)
 	reg := metrics.New()
-	r, err := SimulateObserved(n, smallConfig(), SCM, nil, reg)
+	r, err := SimulateObservedContext(context.Background(), n, smallConfig(), SCM, nil, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestPoolPeakGaugeMatchesRunStats(t *testing.T) {
 func TestTraceCycleStampsMonotone(t *testing.T) {
 	n := residualNet(t)
 	var buf trace.Buffer
-	if _, err := SimulateObserved(n, smallConfig(), SCM, &buf, metrics.New()); err != nil {
+	if _, err := SimulateObservedContext(context.Background(), n, smallConfig(), SCM, &buf, metrics.New()); err != nil {
 		t.Fatal(err)
 	}
 	prevStart, prevEnd := int64(-1), int64(-1)
@@ -134,7 +135,7 @@ func TestSimulateObservedNilRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	observed, err := SimulateObserved(n, smallConfig(), SCM, nil, nil)
+	observed, err := SimulateObservedContext(context.Background(), n, smallConfig(), SCM, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"shortcutmining/internal/dram"
 	"shortcutmining/internal/metrics"
@@ -13,11 +14,11 @@ import (
 )
 
 // Run is a resumable, layer-granular simulation: the stepping API
-// underneath Simulate* and the unit the multi-tenant scheduler
-// (internal/sched) interleaves on one accelerator. A Run advances one
-// layer per Step, can be suspended at any layer boundary — spilling
-// its live logical buffers to DRAM so another tenant may use the bank
-// pool — and resumed later, paying the re-load cost.
+// underneath every Simulate entry point and the unit the multi-tenant
+// scheduler (internal/sched) interleaves on one accelerator. A Run
+// advances one layer per Step, can be suspended at any layer boundary
+// — spilling its live logical buffers to DRAM so another tenant may
+// use the bank pool — and resumed later, paying the re-load cost.
 //
 // The single-tenant path (NewRun + Step until done, no suspends)
 // produces RunStats bit-identical to Simulate: suspend/resume costs
@@ -25,8 +26,7 @@ import (
 // own traffic or cycle attribution, so per-stream results always
 // reconcile exactly against the single-tenant baseline.
 type Run struct {
-	e     *executor
-	label string // strategy label override (NewRun); empty keeps featureLabel
+	e *executor
 
 	next      int // index of the next layer to execute
 	done      bool
@@ -78,22 +78,20 @@ type Footprint struct {
 	ResidentBytes int64 `json:"resident_bytes"`
 }
 
-// NewRun builds a resumable run under a canonical strategy. rec and
-// reg may be nil (no trace, no metrics); a trace.Nop rec is the same as
-// nil.
+// NewRun builds a resumable run under a canonical strategy; it errors
+// on any value outside Strategies. rec and reg may be nil (no trace, no
+// metrics); a trace.Nop rec is the same as nil. The first layer runs on
+// the first Step.
 func NewRun(net *nn.Network, cfg Config, strat Strategy, rec trace.Recorder, reg *metrics.Registry) (*Run, error) {
-	r, err := NewRunFeatures(net, cfg, strat.Features(), rec, reg)
-	if err != nil {
-		return nil, err
+	if !slices.Contains(Strategies(), strat) {
+		return nil, fmt.Errorf("core: unknown strategy %v", strat)
 	}
-	r.label = strat.String()
-	return r, nil
+	return newRun(net, cfg, strat.Features(), rec, reg)
 }
 
-// NewRunFeatures builds a resumable run with an explicit feature set.
-// It performs the same validation and setup as SimulateFeatures but
-// executes nothing: the first layer runs on the first Step.
-func NewRunFeatures(net *nn.Network, cfg Config, feat Features, rec trace.Recorder, reg *metrics.Registry) (*Run, error) {
+// newRun validates the network and the platform and builds a run with
+// an explicit feature set. Every entry point constructs through it.
+func newRun(net *nn.Network, cfg Config, feat Features, rec trace.Recorder, reg *metrics.Registry) (*Run, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -121,6 +119,23 @@ func NewRunFeatures(net *nn.Network, cfg Config, feat Features, rec trace.Record
 		Layers:   make([]stats.LayerStats, 0, len(net.Layers)),
 	}
 	return &Run{e: e}, nil
+}
+
+// complete steps the run until every layer has executed and returns
+// its statistics. Cancellation is cooperative at layer granularity: a
+// canceled run stops before its next layer, leaving no partial-layer
+// state behind (the per-layer watchdog bounds how long one layer can
+// take to reach the check).
+func (r *Run) complete(ctx context.Context) (stats.RunStats, error) {
+	for {
+		done, err := r.Step(ctx)
+		if err != nil {
+			return stats.RunStats{}, err
+		}
+		if done {
+			return r.Result()
+		}
+	}
 }
 
 // Network returns the network the run executes.
@@ -243,9 +258,6 @@ func (r *Run) Step(ctx context.Context) (bool, error) {
 		res, err := r.e.finish()
 		if err != nil {
 			return false, r.fail(err)
-		}
-		if r.label != "" {
-			res.Strategy = r.label
 		}
 		r.result = res
 		r.done = true

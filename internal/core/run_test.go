@@ -3,8 +3,12 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 
+	"shortcutmining/internal/fault"
+	"shortcutmining/internal/metrics"
 	"shortcutmining/internal/nn"
 	"shortcutmining/internal/stats"
 )
@@ -20,39 +24,136 @@ func runJSON(t *testing.T, r stats.RunStats) string {
 	return string(b)
 }
 
-// TestRunStepMatchesSimulate pins the refactor contract: stepping a
-// Run to completion produces RunStats bit-identical to Simulate.
+// TestRunStepMatchesSimulate pins the one-constructor contract:
+// stepping a NewRun to completion produces RunStats equal to every
+// other entry point's, for every strategy on a residual and a concat
+// network, clean, faulty and compressed. Observed runs match once
+// their Metrics snapshot is cleared; a mid-run Snapshot/RestoreRun
+// matches wherever the run can be snapshotted (not under faults).
 func TestRunStepMatchesSimulate(t *testing.T) {
-	net := nn.MustBuild("resnet18")
-	cfg := Default()
-	for _, strat := range Strategies() {
-		want, err := Simulate(net, cfg, strat, nil)
-		if err != nil {
-			t.Fatalf("%s: Simulate: %v", strat, err)
-		}
-		r, err := NewRun(net, cfg, strat, nil, nil)
-		if err != nil {
-			t.Fatalf("%s: NewRun: %v", strat, err)
-		}
-		steps := 0
-		for done := false; !done; steps++ {
-			done, err = r.Step(context.Background())
+	ctx := context.Background()
+	faulty := Default()
+	faulty.Faults = fault.UniformBankFailures(7, 8, 2, 8)
+	cases := []struct {
+		name string
+		net  *nn.Network
+		cfg  Config
+	}{
+		{"residual", nn.MustBuild("resnet18"), Default()},
+		{"concat", nn.MustBuild("squeezenet-bypass"), Default()},
+		{"faulty", nn.MustBuild("resnet18"), faulty},
+		{"compressed", nn.MustBuild("squeezenet-bypass"), compressedDefault(t)},
+	}
+	for _, tc := range cases {
+		for _, strat := range Strategies() {
+			net, cfg := tc.net, tc.cfg
+			r, err := NewRun(net, cfg, strat, nil, nil)
 			if err != nil {
-				t.Fatalf("%s: step %d: %v", strat, steps, err)
+				t.Fatalf("%s/%s: NewRun: %v", tc.name, strat, err)
+			}
+			steps := 0
+			for done := false; !done; steps++ {
+				done, err = r.Step(ctx)
+				if err != nil {
+					t.Fatalf("%s/%s: step %d: %v", tc.name, strat, steps, err)
+				}
+			}
+			if steps != r.NumLayers() {
+				t.Errorf("%s/%s: %d steps, want %d (one per layer)", tc.name, strat, steps, r.NumLayers())
+			}
+			want, err := r.Result()
+			if err != nil {
+				t.Fatalf("%s/%s: Result: %v", tc.name, strat, err)
+			}
+			if sc := r.Sched(); sc != (SchedStats{}) {
+				t.Errorf("%s/%s: uninterrupted run has nonzero SchedStats %+v", tc.name, strat, sc)
+			}
+			if want.Strategy != strat.String() {
+				t.Errorf("%s/%s: stepped run labelled %q", tc.name, strat, want.Strategy)
+			}
+
+			type entry struct {
+				name string
+				run  func() (stats.RunStats, error)
+			}
+			entries := []entry{
+				{"Simulate", func() (stats.RunStats, error) { return Simulate(net, cfg, strat, nil) }},
+				{"SimulateContext", func() (stats.RunStats, error) { return SimulateContext(ctx, net, cfg, strat, nil) }},
+				{"SimulateObservedContext/nil", func() (stats.RunStats, error) {
+					return SimulateObservedContext(ctx, net, cfg, strat, nil, nil)
+				}},
+				{"SimulateObservedContext/registry", func() (stats.RunStats, error) {
+					got, err := SimulateObservedContext(ctx, net, cfg, strat, nil, metrics.New())
+					if err == nil && got.Metrics == nil {
+						t.Errorf("%s/%s: observed run carries no Metrics", tc.name, strat)
+					}
+					got.Metrics = nil
+					return got, err
+				}},
+				{"SimulateFeatures", func() (stats.RunStats, error) { return SimulateFeatures(net, cfg, strat.Features(), nil) }},
+			}
+			if cfg.Faults.Empty() {
+				entries = append(entries, entry{"Snapshot/RestoreRun", func() (stats.RunStats, error) {
+					r, err := NewRun(net, cfg, strat, nil, nil)
+					if err != nil {
+						return stats.RunStats{}, err
+					}
+					for r.NextLayer() < r.NumLayers()/2 {
+						if _, err := r.Step(ctx); err != nil {
+							return stats.RunStats{}, err
+						}
+					}
+					if _, err := r.Suspend(); err != nil {
+						return stats.RunStats{}, err
+					}
+					snap, err := r.Snapshot()
+					if err != nil {
+						return stats.RunStats{}, err
+					}
+					if r, err = RestoreRun(net, cfg, snap); err != nil {
+						return stats.RunStats{}, err
+					}
+					return r.complete(ctx)
+				}})
+			}
+			for _, en := range entries {
+				got, err := en.run()
+				if err != nil {
+					t.Errorf("%s/%s: %s: %v", tc.name, strat, en.name, err)
+					continue
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s/%s: %s diverged from NewRun+Step\n got %s\nwant %s",
+						tc.name, strat, en.name, runJSON(t, got), runJSON(t, want))
+				}
 			}
 		}
-		if steps != r.NumLayers() {
-			t.Errorf("%s: %d steps, want %d (one per layer)", strat, steps, r.NumLayers())
-		}
-		got, err := r.Result()
-		if err != nil {
-			t.Fatalf("%s: Result: %v", strat, err)
-		}
-		if g, w := runJSON(t, got), runJSON(t, want); g != w {
-			t.Errorf("%s: stepped run diverged from Simulate\n got %s\nwant %s", strat, g, w)
-		}
-		if sc := r.Sched(); sc != (SchedStats{}) {
-			t.Errorf("%s: uninterrupted run has nonzero SchedStats %+v", strat, sc)
+	}
+}
+
+// TestUnknownStrategyRejected: a Strategy value outside Strategies is
+// an error at every strategy entry point, never a silent baseline run.
+func TestUnknownStrategyRejected(t *testing.T) {
+	net := residualNet(t)
+	cfg := smallConfig()
+	ctx := context.Background()
+	entries := []struct {
+		name string
+		run  func(Strategy) error
+	}{
+		{"Simulate", func(s Strategy) error { _, err := Simulate(net, cfg, s, nil); return err }},
+		{"SimulateContext", func(s Strategy) error { _, err := SimulateContext(ctx, net, cfg, s, nil); return err }},
+		{"SimulateObservedContext", func(s Strategy) error {
+			_, err := SimulateObservedContext(ctx, net, cfg, s, nil, metrics.New())
+			return err
+		}},
+		{"NewRun", func(s Strategy) error { _, err := NewRun(net, cfg, s, nil, nil); return err }},
+	}
+	for _, s := range []Strategy{-1, 3, 7} {
+		for _, en := range entries {
+			if err := en.run(s); err == nil || !strings.Contains(err.Error(), "unknown strategy") {
+				t.Errorf("%s(%v) = %v, want an unknown-strategy error", en.name, s, err)
+			}
 		}
 	}
 }

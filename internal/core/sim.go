@@ -31,71 +31,38 @@ func SimulateContext(ctx context.Context, net *nn.Network, cfg Config, strat Str
 	return SimulateObservedContext(ctx, net, cfg, strat, rec, nil)
 }
 
-// SimulateObserved is Simulate with the metrics registry attached: the
-// run additionally populates reg with per-layer cycle attribution,
-// per-class DRAM counters and burst/utilization histograms, pool
-// high-water marks, and procedure hit/miss counters, and embeds a
-// snapshot in RunStats.Metrics. reg may be nil (no observation).
-func SimulateObserved(net *nn.Network, cfg Config, strat Strategy, rec trace.Recorder, reg *metrics.Registry) (stats.RunStats, error) {
-	return SimulateObservedContext(context.Background(), net, cfg, strat, rec, reg)
-}
-
-// SimulateObservedContext is SimulateObserved with cancellation (see
-// SimulateContext).
+// SimulateObservedContext is SimulateContext with the metrics registry
+// attached: the run additionally populates reg with per-layer cycle
+// attribution, per-class DRAM counters and burst/utilization
+// histograms, pool high-water marks, and procedure hit/miss counters,
+// and embeds a snapshot in RunStats.Metrics. reg may be nil (no
+// observation).
 func SimulateObservedContext(ctx context.Context, net *nn.Network, cfg Config, strat Strategy, rec trace.Recorder, reg *metrics.Registry) (stats.RunStats, error) {
-	run, err := SimulateFeaturesObservedContext(ctx, net, cfg, strat.Features(), rec, reg)
+	r, err := NewRun(net, cfg, strat, rec, reg)
 	if err != nil {
-		return run, err
+		return stats.RunStats{}, err
 	}
-	run.Strategy = strat.String()
-	return run, nil
+	return r.complete(ctx)
 }
 
 // SimulateFeatures executes the network with an explicit feature set —
 // the ablation entry point (experiment E8). The canonical strategies
 // are Simulate's Baseline/FMReuse/SCM.
 func SimulateFeatures(net *nn.Network, cfg Config, feat Features, rec trace.Recorder) (stats.RunStats, error) {
-	return SimulateFeaturesObserved(net, cfg, feat, rec, nil)
-}
-
-// SimulateFeaturesObserved is SimulateFeatures with the metrics
-// registry attached (see SimulateObserved).
-func SimulateFeaturesObserved(net *nn.Network, cfg Config, feat Features, rec trace.Recorder, reg *metrics.Registry) (stats.RunStats, error) {
-	return SimulateFeaturesObservedContext(context.Background(), net, cfg, feat, rec, reg)
-}
-
-// SimulateFeaturesObservedContext is the full-control entry point:
-// explicit feature set, optional trace recorder and metrics registry,
-// and cooperative cancellation through ctx. It is a thin loop over the
-// resumable Run API (NewRunFeatures / Step): a run that is never
-// suspended produces results bit-identical to the stepping path, which
-// is what the multi-tenant scheduler interleaves.
-func SimulateFeaturesObservedContext(ctx context.Context, net *nn.Network, cfg Config, feat Features, rec trace.Recorder, reg *metrics.Registry) (stats.RunStats, error) {
-	r, err := NewRunFeatures(net, cfg, feat, rec, reg)
+	r, err := newRun(net, cfg, feat, rec, nil)
 	if err != nil {
 		return stats.RunStats{}, err
 	}
-	// Cancellation is cooperative at layer granularity: a canceled
-	// job stops before its next layer, leaving no partial-layer
-	// state behind (the per-layer watchdog bounds how long one
-	// layer can take to reach this check).
-	for done := false; !done; {
-		if done, err = r.Step(ctx); err != nil {
-			return stats.RunStats{}, err
-		}
-	}
-	return r.Result()
+	return r.complete(context.Background())
 }
 
-// featureLabel names an ad-hoc feature set for reports.
+// featureLabel names a feature set for reports: the canonical
+// strategy's name when it is one, otherwise the procedures it enables.
 func featureLabel(f Features) string {
-	switch f {
-	case Baseline.Features():
-		return Baseline.String()
-	case FMReuse.Features():
-		return FMReuse.String()
-	case SCM.Features():
-		return SCM.String()
+	for _, st := range Strategies() {
+		if f == st.Features() {
+			return st.String()
+		}
 	}
 	s := "custom["
 	if f.RoleSwitch {

@@ -28,8 +28,8 @@ const SnapshotVersion = 1
 type RunSnapshot struct {
 	Version int    `json:"version"`
 	Network string `json:"network"`
-	// Label is the canonical strategy override of NewRun ("" for runs
-	// built from an explicit feature set).
+	// Label names the feature set (featureLabel); Validate requires it
+	// to match Features.
 	Label    string   `json:"label,omitempty"`
 	Features Features `json:"features"`
 
@@ -114,7 +114,7 @@ func (r *Run) Snapshot() (*RunSnapshot, error) {
 	snap := &RunSnapshot{
 		Version:        SnapshotVersion,
 		Network:        name,
-		Label:          r.label,
+		Label:          featureLabel(r.e.feat),
 		Features:       r.e.feat,
 		Next:           r.next,
 		Clock:          r.e.clock,
@@ -161,6 +161,12 @@ func (s *RunSnapshot) Validate(net *nn.Network) error {
 	}
 	if s.Network != net.Name {
 		return fmt.Errorf("core: snapshot of %q cannot restore onto network %q", s.Network, net.Name)
+	}
+	if label := featureLabel(s.Features); s.Label != label || s.Scratch.Strategy != label {
+		return fmt.Errorf("core: snapshot labels %q (stats %q) do not name its features %q", s.Label, s.Scratch.Strategy, label)
+	}
+	if s.Scratch.Network != s.Network {
+		return fmt.Errorf("core: snapshot stats name network %q, the snapshot %q", s.Scratch.Network, s.Network)
 	}
 	n := len(net.Layers)
 	if s.Next < 0 || s.Next >= n {
@@ -235,7 +241,7 @@ func RestoreRun(net *nn.Network, cfg Config, snap *RunSnapshot) (*Run, error) {
 	if err := snap.Validate(net); err != nil {
 		return nil, err
 	}
-	r, err := NewRunFeatures(net, cfg, snap.Features, nil, nil)
+	r, err := newRun(net, cfg, snap.Features, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +266,6 @@ func RestoreRun(net *nn.Network, cfg Config, snap *RunSnapshot) (*Run, error) {
 	r.e.pool.RestoreStats(snap.PoolStats)
 	r.e.encCycles = snap.EncodeCycles
 	r.e.decCycles = snap.DecodeCycles
-	r.label = snap.Label
 	r.sched = snap.Sched
 	r.next = snap.Next
 	r.suspended = true

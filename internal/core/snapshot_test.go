@@ -294,6 +294,13 @@ func TestSnapshotValidate(t *testing.T) {
 		{"saved orphan", func(s *RunSnapshot) {
 			s.Saved = append(s.Saved, SavedBuffer{Producer: len(net.Layers) - 1, Banks: 1})
 		}, "no resident"},
+		// The labels and the stats' network flow into the restored
+		// RunStats, so they must agree with the features and network.
+		{"label", func(s *RunSnapshot) { s.Label = "baseline" }, "labels"},
+		{"empty label", func(s *RunSnapshot) { s.Label = "" }, "labels"},
+		{"features", func(s *RunSnapshot) { s.Features = Baseline.Features() }, "labels"},
+		{"stats strategy", func(s *RunSnapshot) { s.Scratch.Strategy = "fm-reuse" }, "labels"},
+		{"stats network", func(s *RunSnapshot) { s.Scratch.Network = "alexnet" }, "network"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -325,6 +332,7 @@ func TestSnapshotValidate(t *testing.T) {
 func FuzzRestoreRun(f *testing.F) {
 	cfg := Default()
 	nets := map[string]*nn.Network{}
+	var mislabelled *RunSnapshot
 	for _, name := range []string{"resnet18", "squeezenet-bypass"} {
 		net := nn.MustBuild(name)
 		nets[name] = net
@@ -352,9 +360,19 @@ func FuzzRestoreRun(f *testing.F) {
 					f.Fatal(err)
 				}
 				f.Add(b)
+				if mislabelled == nil {
+					mislabelled = snap
+				}
 			}
 		}
 	}
+	// A snapshot whose label disagrees with its features.
+	mislabelled.Label = "Strategy(7)"
+	b, err := json.Marshal(mislabelled)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b)
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`null`))
 

@@ -2,6 +2,7 @@ package jsonindent_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -42,7 +43,7 @@ func values(tb testing.TB) map[string]any {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	st, err := core.SimulateObserved(net, core.Default(), core.SCM, nil, metrics.New())
+	st, err := core.SimulateObservedContext(context.Background(), net, core.Default(), core.SCM, nil, metrics.New())
 	if err != nil {
 		tb.Fatal(err)
 	}

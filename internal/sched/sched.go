@@ -589,22 +589,13 @@ func remove(list []*tenant, t *tenant) []*tenant {
 // stream's single-tenant baseline, against which sharded service
 // cycles reconcile bit-identically.
 func profile(ctx context.Context, net *nn.Network, cfg core.Config, strat core.Strategy) ([]int64, int64, error) {
-	run, err := core.NewRun(net, cfg, strat, nil, nil)
+	res, err := core.SimulateContext(ctx, net, cfg, strat, nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	perLayer := make([]int64, run.NumLayers())
-	for !run.Done() {
-		li := run.NextLayer()
-		before := run.Clock()
-		if _, err := run.Step(ctx); err != nil {
-			return nil, 0, err
-		}
-		perLayer[li] += run.Clock() - before
-	}
-	res, err := run.Result()
-	if err != nil {
-		return nil, 0, err
+	perLayer := make([]int64, len(res.Layers))
+	for i, ls := range res.Layers {
+		perLayer[i] = ls.Cycles
 	}
 	return perLayer, res.TotalCycles, nil
 }

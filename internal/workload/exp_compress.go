@@ -57,11 +57,7 @@ func runE25(cfg core.Config) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		base, err := core.Simulate(net, cfg, core.Baseline, nil)
-		if err != nil {
-			return Result{}, err
-		}
-		mine, err := core.Simulate(net, cfg, core.SCM, nil)
+		base, mine, err := baselineAndSCM(net, cfg)
 		if err != nil {
 			return Result{}, err
 		}
@@ -84,11 +80,7 @@ func runE25(cfg core.Config) (Result, error) {
 			if err != nil {
 				return Result{}, err
 			}
-			comp, err := core.Simulate(net, ccfg, core.Baseline, nil)
-			if err != nil {
-				return Result{}, err
-			}
-			both, err := core.Simulate(net, ccfg, core.SCM, nil)
+			comp, both, err := baselineAndSCM(net, ccfg)
 			if err != nil {
 				return Result{}, err
 			}

@@ -40,11 +40,7 @@ func runE14(cfg core.Config) (Result, error) {
 			return Result{}, err
 		}
 		ch := nn.Characterize(net, cfg.DType)
-		base, err := core.Simulate(net, cfg, core.Baseline, nil)
-		if err != nil {
-			return Result{}, err
-		}
-		scm, err := core.Simulate(net, cfg, core.SCM, nil)
+		base, scm, err := baselineAndSCM(net, cfg)
 		if err != nil {
 			return Result{}, err
 		}
@@ -133,11 +129,7 @@ func runE16(cfg core.Config) (Result, error) {
 			}
 			c := cfg
 			c.DRAM.BandwidthGBps = bw
-			base, err := core.Simulate(net, c, core.Baseline, nil)
-			if err != nil {
-				return Result{}, err
-			}
-			scm, err := core.Simulate(net, c, core.SCM, nil)
+			base, scm, err := baselineAndSCM(net, c)
 			if err != nil {
 				return Result{}, err
 			}

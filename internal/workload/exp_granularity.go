@@ -39,11 +39,7 @@ func runE20(cfg core.Config) (Result, error) {
 			if err != nil {
 				return Result{}, err
 			}
-			base, err := core.Simulate(net, c, core.Baseline, nil)
-			if err != nil {
-				return Result{}, err
-			}
-			scm, err := core.Simulate(net, c, core.SCM, nil)
+			base, scm, err := baselineAndSCM(net, c)
 			if err != nil {
 				return Result{}, err
 			}

@@ -105,11 +105,7 @@ func runE5(cfg core.Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	base, err := core.Simulate(net, cfg, core.Baseline, nil)
-	if err != nil {
-		return Result{}, err
-	}
-	scm, err := core.Simulate(net, cfg, core.SCM, nil)
+	base, scm, err := baselineAndSCM(net, cfg)
 	if err != nil {
 		return Result{}, err
 	}

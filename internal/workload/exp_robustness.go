@@ -47,11 +47,7 @@ func runE22(cfg core.Config) (Result, error) {
 			if fr.banks > 0 {
 				fcfg.Faults = fault.UniformBankFailures(e22Seed, fr.banks, 2, 8)
 			}
-			base, err := core.Simulate(net, fcfg, core.Baseline, nil)
-			if err != nil {
-				return Result{}, err
-			}
-			scm, err := core.Simulate(net, fcfg, core.SCM, nil)
+			base, scm, err := baselineAndSCM(net, fcfg)
 			if err != nil {
 				return Result{}, err
 			}

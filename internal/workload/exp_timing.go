@@ -28,19 +28,11 @@ func runE19(cfg core.Config) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		bs, err := core.Simulate(net, cfg, core.Baseline, nil)
+		bs, ss, err := baselineAndSCM(net, cfg)
 		if err != nil {
 			return Result{}, err
 		}
-		ss, err := core.Simulate(net, cfg, core.SCM, nil)
-		if err != nil {
-			return Result{}, err
-		}
-		bd, err := core.Simulate(net, detailed, core.Baseline, nil)
-		if err != nil {
-			return Result{}, err
-		}
-		sd, err := core.Simulate(net, detailed, core.SCM, nil)
+		bd, sd, err := baselineAndSCM(net, detailed)
 		if err != nil {
 			return Result{}, err
 		}

@@ -106,6 +106,16 @@ func simulate(name string, cfg core.Config, s core.Strategy) (stats.RunStats, er
 	return core.Simulate(net, cfg, s, nil)
 }
 
+// baselineAndSCM simulates net under the two design points most
+// experiments compare: the baseline and full Shortcut Mining.
+func baselineAndSCM(net *nn.Network, cfg core.Config) (base, scm stats.RunStats, err error) {
+	if base, err = core.Simulate(net, cfg, core.Baseline, nil); err != nil {
+		return base, scm, err
+	}
+	scm, err = core.Simulate(net, cfg, core.SCM, nil)
+	return base, scm, err
+}
+
 // geomean computes the geometric mean of positive values.
 func geomean(vals []float64) float64 {
 	if len(vals) == 0 {

@@ -193,7 +193,7 @@ func SimulateContext(ctx context.Context, net *Network, cfg Config, s Strategy) 
 // hit/miss counters). scm-sim -metrics renders the same registry as a
 // Prometheus-style text page.
 func SimulateObserved(net *Network, cfg Config, s Strategy) (RunStats, error) {
-	return core.SimulateObserved(net, cfg, s, nil, metrics.New())
+	return core.SimulateObservedContext(context.Background(), net, cfg, s, nil, metrics.New())
 }
 
 // SimulateWithTrace additionally streams the scheduler's buffer
