@@ -13,9 +13,12 @@ package serve
 import (
 	"container/list"
 	"crypto/sha256"
+	"encoding"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"sync"
 
@@ -36,7 +39,8 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
 // Request is one simulation job for the serve engine.
 type Request struct {
-	// Net is the validated network to run.
+	// Net is the validated network to run (nil only in a decoded
+	// request that names a warm zoo network; see zoo).
 	Net *nn.Network
 	// Cfg is the platform; its Faults field (if any) participates in
 	// the cache key like every other field.
@@ -51,18 +55,49 @@ type Request struct {
 	// stays out of the cache key: two clients asking for the same work
 	// under different IDs must share one cached result.
 	RequestID string
+
+	// zoo is the model-zoo name Net was built from, set only by
+	// decodeSimulate. A request whose name already has a memoized hash
+	// state carries no Net until a run needs it (built).
+	zoo string
+}
+
+// zooHashes maps a zoo name to the SHA-256 state after its network's
+// canonical JSON and the 0 separator (the digest's MarshalBinary
+// bytes). It holds no network: a warm name costs its ~110 B of state,
+// and only names nn.Build accepted ever reach it, so it is bounded by
+// nn.ZooNames.
+var zooHashes sync.Map // string → []byte
+
+// warmZoo reports whether name has a memoized hash state.
+func warmZoo(name string) bool {
+	_, ok := zooHashes.Load(name)
+	return ok
+}
+
+// errNoNetwork reports a request with neither a network nor a zoo name.
+var errNoNetwork = errors.New("serve: request has no network")
+
+// built returns req with Net built from its zoo name if it carries
+// only the name.
+func (req Request) built() (Request, error) {
+	switch {
+	case req.Net != nil:
+		return req, nil
+	case req.zoo == "":
+		return req, errNoNetwork
+	}
+	net, err := nn.Build(req.zoo)
+	req.Net = net
+	return req, err
 }
 
 // RequestKey computes the content address of req.
 func RequestKey(req Request) (Key, error) {
-	if req.Net == nil {
-		return Key{}, fmt.Errorf("serve: request has no network")
+	h, err := networkHash(req)
+	if err != nil {
+		return Key{}, err
 	}
-	h := sha256.New()
-	if err := nn.EncodeJSON(h, req.Net); err != nil {
-		return Key{}, fmt.Errorf("serve: hashing network: %w", err)
-	}
-	h.Write([]byte{0})
 	if err := core.EncodeConfigJSON(h, req.Cfg); err != nil {
 		return Key{}, fmt.Errorf("serve: hashing config: %w", err)
 	}
@@ -74,6 +109,33 @@ func RequestKey(req Request) (Key, error) {
 	var k Key
 	copy(k[:], h.Sum(nil))
 	return k, nil
+}
+
+// networkHash returns a SHA-256 that has absorbed req's network and the
+// 0 separator: resumed from the zoo name's memoized state when there is
+// one, otherwise by encoding Net (and memoizing the state under the
+// name, if the request has one).
+func networkHash(req Request) (hash.Hash, error) {
+	h := sha256.New()
+	if st, ok := zooHashes.Load(req.zoo); ok {
+		if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(st.([]byte)); err != nil {
+			return nil, fmt.Errorf("serve: resuming network hash: %w", err)
+		}
+		return h, nil
+	}
+	if req.Net == nil {
+		return nil, errNoNetwork
+	}
+	if err := nn.EncodeJSON(h, req.Net); err != nil {
+		return nil, fmt.Errorf("serve: hashing network: %w", err)
+	}
+	h.Write([]byte{0})
+	if req.zoo != "" {
+		if st, err := h.(encoding.BinaryMarshaler).MarshalBinary(); err == nil {
+			zooHashes.Store(req.zoo, st)
+		}
+	}
+	return h, nil
 }
 
 // CacheStats is a point-in-time view of the cache counters.

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"log/slog"
 	"sync"
@@ -330,6 +329,9 @@ func (e *Engine) Simulate(ctx context.Context, req Request) (stats.RunStats, boo
 		e.mCacheHits.Inc()
 		return res, true, nil
 	}
+	if req, err = req.built(); err != nil {
+		return stats.RunStats{}, false, err
+	}
 
 	e.mu.Lock()
 	if e.draining {
@@ -374,8 +376,9 @@ func (e *Engine) SimulateTraced(ctx context.Context, req Request) (stats.RunStat
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if req.Net == nil {
-		return stats.RunStats{}, nil, fmt.Errorf("serve: request has no network")
+	req, err := req.built()
+	if err != nil {
+		return stats.RunStats{}, nil, err
 	}
 	e.mu.Lock()
 	if e.draining {

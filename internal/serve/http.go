@@ -235,7 +235,16 @@ func decodeSimulate(r io.Reader, reqID string) (simulateBody, Request, error) {
 	if body.TimeoutMS < 0 || body.TimeoutMS > math.MaxInt64/int64(time.Millisecond) {
 		return body, Request{}, fmt.Errorf("timeout_ms %d out of range [0, %d]", body.TimeoutMS, math.MaxInt64/int64(time.Millisecond))
 	}
-	net, cfg, err := body.resolve()
+	// A warm zoo name is hashed from its memoized state, so the network
+	// is built only when a run needs it (Request.built).
+	var net *nn.Network
+	var cfg core.Config
+	var err error
+	if body.Graph == nil && warmZoo(body.Network) {
+		cfg, err = resolveConfig(body.Config)
+	} else {
+		net, cfg, err = body.resolve()
+	}
 	if err != nil {
 		return body, Request{}, err
 	}
@@ -243,7 +252,7 @@ func decodeSimulate(r io.Reader, reqID string) (simulateBody, Request, error) {
 	if err != nil {
 		return body, Request{}, err
 	}
-	return body, Request{Net: net, Cfg: cfg, Strategy: strategy, Observe: body.Observe, RequestID: reqID}, nil
+	return body, Request{Net: net, Cfg: cfg, Strategy: strategy, Observe: body.Observe, RequestID: reqID, zoo: body.Network}, nil
 }
 
 // serveSimulate executes a parsed simulate request on e and writes the
@@ -254,6 +263,11 @@ func serveSimulate(e *Engine, w http.ResponseWriter, r *http.Request, body simul
 	if body.Async {
 		if body.Trace {
 			writeError(w, http.StatusBadRequest, errors.New("trace is synchronous-only; drop async or trace"))
+			return false
+		}
+		req, err := req.built() // the journaled payload embeds the graph
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
 			return false
 		}
 		acceptJob(w, e, simulateKind, req, req.RequestID)

@@ -227,7 +227,10 @@ var (
 		name: "simulate",
 		body: func(r io.Reader, reqID string) (any, error) {
 			_, req, err := decodeSimulate(r, reqID)
-			return req, err
+			if err != nil {
+				return nil, err
+			}
+			return req.built()
 		},
 		check: func(req any) error {
 			_, err := RequestKey(req.(Request))
