@@ -2,7 +2,9 @@
 // journals and replies with. Encode produces the same bytes as an
 // encoding/json Encoder with SetIndent("", "  "), but indents in one
 // linear pass over the compact json.Marshal output instead of running
-// encoding/json's validating scanner a second time.
+// encoding/json's validating scanner a second time. AppendIndent and
+// AppendString are the pieces hand-written encoders splice their
+// output from.
 package jsonindent
 
 import (
@@ -20,17 +22,17 @@ func Encode(w io.Writer, v any) error {
 	}
 	// Two-space indentation makes a serving reply about 1.7–1.9× its
 	// compact size; 2× leaves room for it and the newline.
-	out := appendIndent(make([]byte, 0, 2*len(b)+1), b, "", "  ")
+	out := AppendIndent(make([]byte, 0, 2*len(b)+1), b, "", "  ")
 	_, err = w.Write(append(out, '\n'))
 	return err
 }
 
-// appendIndent appends src to dst indented as json.Indent would. src
+// AppendIndent appends src to dst indented as json.Indent would. src
 // must be compact, valid JSON (json.Marshal or json.Compact output):
 // outside strings it holds no whitespace, so the pass only has to find
 // string boundaries, track bracket depth and keep empty {} and [] on
 // one line.
-func appendIndent(dst, src []byte, prefix, indent string) []byte {
+func AppendIndent(dst, src []byte, prefix, indent string) []byte {
 	// line is "\n", the prefix and depth indents, grown to the deepest
 	// level seen so far.
 	line := append([]byte{'\n'}, prefix...)
@@ -78,4 +80,20 @@ func appendIndent(dst, src []byte, prefix, indent string) []byte {
 		}
 	}
 	return dst
+}
+
+// AppendString appends s as a JSON string, byte for byte what
+// json.Marshal(s) writes. Printable ASCII other than the quote, the
+// backslash and the HTML-escaped <, > and & is copied as is; any other
+// string goes through json.Marshal.
+func AppendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // scmvet:ok ignorederr a string always encodes
+			return append(dst, b...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }

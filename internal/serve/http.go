@@ -9,6 +9,9 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
+	"strconv"
+	"sync"
 	"time"
 
 	"shortcutmining/internal/core"
@@ -133,11 +136,55 @@ func NewHandler(e *Engine) http.Handler {
 	return withRequestID(e, mux)
 }
 
+// bufs recycles the scratch buffers replies are encoded into and
+// Cache.Put sizes entries in.
+var bufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeJSON writes v as the indented reply jsonindent.Encode writes. It
+// encodes before it commits the status, so a value that cannot be
+// encoded becomes a 500 error reply rather than a 200 with no body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding reply: %w", err))
+		return
+	}
+	p := bufs.Get().(*[]byte)
+	defer bufs.Put(p)
+	// Two-space indentation makes a reply about 1.7–1.9× its compact
+	// size; 2× leaves room for it and the newline.
+	*p = append(jsonindent.AppendIndent(slices.Grow((*p)[:0], 2*len(b)+1), b, "", "  "), '\n')
+	writeBody(w, code, *p)
+}
+
+// writeSimulateReply writes the untraced simulate reply, byte for byte
+// what writeJSON(simulateReply{…}) writes, with the stats encoded by
+// RunStats.AppendJSON straight into a pooled buffer.
+func writeSimulateReply(w http.ResponseWriter, cached bool, reqID string, res *stats.RunStats) {
+	p := bufs.Get().(*[]byte)
+	defer bufs.Put(p)
+	b := append((*p)[:0], "{\n  \"cached\": "...)
+	b = strconv.AppendBool(b, cached)
+	if reqID != "" {
+		b = append(b, ",\n  \"request_id\": "...)
+		b = jsonindent.AppendString(b, reqID)
+	}
+	b = append(b, ",\n  \"stats\": "...)
+	b, err := res.AppendJSON(b, "  ", "  ")
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding reply: %w", err))
+		return
+	}
+	*p = append(b, "\n}\n"...)
+	writeBody(w, http.StatusOK, *p)
+}
+
+// writeBody commits code and writes an encoded JSON reply.
+func writeBody(w http.ResponseWriter, code int, b []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	// scmvet:ok ignorederr the response status is already committed; nothing useful can be done
-	jsonindent.Encode(w, v)
+	w.Write(b)
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
@@ -294,7 +341,7 @@ func serveSimulate(e *Engine, w http.ResponseWriter, r *http.Request, body simul
 		writeError(w, statusFor(err), err)
 		return false
 	}
-	writeJSON(w, http.StatusOK, simulateReply{Cached: cached, RequestID: req.RequestID, Stats: &res})
+	writeSimulateReply(w, cached, req.RequestID, &res)
 	return cached
 }
 
