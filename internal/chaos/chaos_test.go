@@ -30,16 +30,16 @@ func TestParseSpecRoundtrip(t *testing.T) {
 func TestParseSpecRejects(t *testing.T) {
 	cases := []string{
 		"seed=abc",
-		"journal-io",            // missing p
-		"journal-io:p=1.5",      // out of range
-		"slow-disk:ms=-1",       // negative
-		"stall:p=0.5",           // missing ms
-		"stall:p=0.5,ms=0",      // zero duration with nonzero prob
-		"crash:n=1",             // no site
-		"crash@site:n=0",        // non-positive count
-		"crash@site:n=x",        // bad count
-		"tornado:p=0.1",         // unknown clause
-		"journal-io:p",          // malformed param
+		"journal-io",       // missing p
+		"journal-io:p=1.5", // out of range
+		"slow-disk:ms=-1",  // negative
+		"stall:p=0.5",      // missing ms
+		"stall:p=0.5,ms=0", // zero duration with nonzero prob
+		"crash:n=1",        // no site
+		"crash@site:n=0",   // non-positive count
+		"crash@site:n=x",   // bad count
+		"tornado:p=0.1",    // unknown clause
+		"journal-io:p",     // malformed param
 	}
 	for _, in := range cases {
 		if _, err := ParseSpec(in); err == nil {

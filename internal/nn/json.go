@@ -1,10 +1,15 @@
 package nn
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"strconv"
+	"sync"
 
+	"shortcutmining/internal/canonjson"
 	"shortcutmining/internal/jsonindent"
 	"shortcutmining/internal/tensor"
 )
@@ -52,14 +57,153 @@ type jsonNetwork struct {
 	Layers []jsonLayer `json:"layers"`
 }
 
-// DecodeJSON reads a network from the JSON graph format.
+// The graph format's member names, in the order of jsonNetwork's,
+// jsonShape's and jsonLayer's fields.
+var (
+	networkKeys = []string{"name", "input", "layers"}
+	shapeKeys   = []string{"c", "h", "w"}
+	layerKeys   = []string{"name", "op", "inputs", "stage", "out_channels", "kernel", "stride", "pad", "groups", "pool"}
+)
+
+// DecodeJSON reads a network from the JSON graph format. A document in
+// canonjson's subset is read in one pass; any other goes through the
+// reflection decoder, whose error texts are the format's. Anything but
+// whitespace after the document is an error.
 func DecodeJSON(r io.Reader) (*Network, error) {
+	// A reader that knows its length, as the bytes and strings readers
+	// do, is read into one allocation.
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(l.Len() + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(r)
+	data := buf.Bytes()
+	if err == nil {
+		cr := canonjson.NewReader(data)
+		build := ReadJSON(cr)
+		if cr.End(); cr.OK() {
+			return build()
+		}
+	}
+	return DecodeJSONReflect(canonjson.Replay(data, err))
+}
+
+// layerBufs recycles the layer lists ReadJSON decodes into, up to
+// maxPooledLayers records each; a longer list is left to the collector.
+var layerBufs = sync.Pool{New: func() any { return new([]jsonLayer) }}
+
+const maxPooledLayers = 512
+
+// ReadJSON reads a network in the JSON graph format at cr's position
+// and returns the function that builds it, whose error is DecodeJSON's
+// for the same document. It returns nil when cr declines. Call the
+// build once, and only when the enclosing document was read without a
+// decline; otherwise the caller falls back to DecodeJSON on the bytes.
+func ReadJSON(cr *canonjson.Reader) func() (*Network, error) {
+	p := layerBufs.Get().(*[]jsonLayer)
+	jn := jsonNetwork{Layers: (*p)[:0]}
+	readNetwork(cr, &jn)
+	if !cr.OK() {
+		putLayers(p, jn.Layers)
+		return nil
+	}
+	return func() (*Network, error) {
+		defer putLayers(p, jn.Layers)
+		return build(&jn)
+	}
+}
+
+// putLayers returns a layer list to layerBufs. The builder keeps the
+// strings and input lists, not the layer records, so clearing them
+// drops the pool's last references.
+func putLayers(p *[]jsonLayer, layers []jsonLayer) {
+	clear(layers)
+	if cap(layers) <= maxPooledLayers {
+		*p = layers[:0]
+		layerBufs.Put(p)
+	}
+}
+
+// readNetwork reads a jsonNetwork at cr's position.
+func readNetwork(cr *canonjson.Reader, jn *jsonNetwork) {
+	cr.Object(networkKeys, func(i int) {
+		switch i {
+		case 0:
+			jn.Name = cr.Str()
+		case 1:
+			cr.Object(shapeKeys, func(i int) {
+				switch i {
+				case 0:
+					jn.Input.C = cr.Int()
+				case 1:
+					jn.Input.H = cr.Int()
+				case 2:
+					jn.Input.W = cr.Int()
+				}
+			})
+		case 2:
+			cr.Array(func() {
+				jn.Layers = append(jn.Layers, jsonLayer{})
+				readLayer(cr, &jn.Layers[len(jn.Layers)-1])
+			})
+		}
+	})
+}
+
+// readLayer reads a jsonLayer at cr's position.
+func readLayer(cr *canonjson.Reader, jl *jsonLayer) {
+	cr.Object(layerKeys, func(i int) {
+		switch i {
+		case 0:
+			jl.Name = cr.Str()
+		case 1:
+			jl.Op = cr.Str()
+		case 2:
+			cr.Array(func() { jl.Inputs = append(jl.Inputs, cr.Str()) })
+		case 3:
+			jl.Stage = cr.Str()
+		case 4:
+			jl.OutChannels = cr.Int()
+		case 5:
+			jl.Kernel = cr.Int()
+		case 6:
+			jl.Stride = cr.Int()
+		case 7:
+			jl.Pad = cr.Int()
+		case 8:
+			jl.Groups = cr.Int()
+		case 9:
+			jl.Pool = cr.Str()
+		}
+	})
+}
+
+// DecodeJSONReflect is DecodeJSON's reference path alone: encoding/json
+// with unknown fields disallowed, then the trailing-data check, then
+// the build. Its results are DecodeJSON's; it is for a caller that has
+// already seen the document leave canonjson's subset.
+func DecodeJSONReflect(r io.Reader) (*Network, error) {
 	var jn jsonNetwork
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&jn); err != nil {
 		return nil, fmt.Errorf("nn: decoding network json: %w", err)
 	}
+	// A read error after a whole document is the stream's fault, not
+	// trailing data; a token or a syntax error there is trailing data.
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+	case err == nil, err == io.ErrUnexpectedEOF, errors.As(err, new(*json.SyntaxError)):
+		return nil, errors.New("nn: decoding network json: unexpected data after the JSON document")
+	default:
+		return nil, fmt.Errorf("nn: reading network json: %w", err)
+	}
+	return build(&jn)
+}
+
+// build runs a decoded document through the Builder: shape inference
+// and validation, and the format's own checks.
+func build(jn *jsonNetwork) (*Network, error) {
 	if jn.Name == "" {
 		return nil, fmt.Errorf("nn: network json needs a name")
 	}
@@ -129,47 +273,123 @@ func DecodeJSON(r io.Reader) (*Network, error) {
 // EncodeJSON writes the network in the JSON graph format; decoding the
 // output reproduces an identical network.
 func EncodeJSON(w io.Writer, n *Network) error {
-	jn := jsonNetwork{
-		Name:  n.Name,
-		Input: jsonShape{C: n.InputShape.C, H: n.InputShape.H, W: n.InputShape.W},
+	b, err := AppendJSON(nil, n)
+	if err != nil {
+		return err
 	}
+	_, err = w.Write(b)
+	return err
+}
+
+// AppendJSON appends the network in the JSON graph format to dst: the
+// bytes jsonindent.Encode writes for the network's jsonNetwork
+// document, written without reflection. On an error dst comes back
+// unextended.
+func AppendJSON(dst []byte, n *Network) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, "{\n  \"name\": "...)
+	dst = jsonindent.AppendString(dst, n.Name)
+	dst = append(dst, ",\n  \"input\": {\n    \"c\": "...)
+	dst = strconv.AppendInt(dst, int64(n.InputShape.C), 10)
+	dst = append(dst, ",\n    \"h\": "...)
+	dst = strconv.AppendInt(dst, int64(n.InputShape.H), 10)
+	dst = append(dst, ",\n    \"w\": "...)
+	dst = strconv.AppendInt(dst, int64(n.InputShape.W), 10)
+	dst = append(dst, "\n  },\n  \"layers\": "...)
+	sep := "[\n    {"
 	for _, l := range n.Layers {
 		if l.Kind == OpInput {
 			continue
 		}
-		jl := jsonLayer{
-			Name:   l.Name,
-			Inputs: append([]string(nil), l.Inputs...),
-			Stage:  l.Stage,
+		dst = append(dst, sep...)
+		sep = ",\n    {"
+		var err error
+		if dst, err = appendLayer(dst, l); err != nil {
+			return dst[:start], err
 		}
-		switch l.Kind {
-		case OpConv:
-			jl.Op = "conv"
-			jl.OutChannels = l.OutC
-			jl.Kernel, jl.Stride, jl.Pad = l.K, l.Stride, l.Pad
-			if g := l.NumGroups(); g > 1 {
-				jl.Groups = g
-			}
-		case OpPool:
-			jl.Op = "pool"
-			jl.Pool = l.Pool.String()
-			jl.Kernel, jl.Stride, jl.Pad = l.K, l.Stride, l.Pad
-		case OpGlobalPool:
-			jl.Op = "gpool"
-		case OpFC:
-			jl.Op = "fc"
-			jl.OutChannels = l.OutC
-		case OpEltwiseAdd:
-			jl.Op = "add"
-		case OpShuffle:
-			jl.Op = "shuffle"
-			jl.Groups = l.NumGroups()
-		case OpConcat:
-			jl.Op = "concat"
-		default:
-			return fmt.Errorf("nn: cannot encode op %v", l.Kind)
-		}
-		jn.Layers = append(jn.Layers, jl)
+		dst = append(dst, "\n    }"...)
 	}
-	return jsonindent.Encode(w, jn)
+	if sep == "[\n    {" {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, "\n  ]"...)
+	}
+	return append(dst, "\n}\n"...), nil
+}
+
+// appendLayer appends the members of l's jsonLayer, omitting the empty
+// ones its omitempty tags omit.
+func appendLayer(dst []byte, l *Layer) ([]byte, error) {
+	var op string
+	outC, k, stride, pad, groups, pool := 0, 0, 0, 0, 0, ""
+	switch l.Kind {
+	case OpConv:
+		op, outC, k, stride, pad = "conv", l.OutC, l.K, l.Stride, l.Pad
+		if g := l.NumGroups(); g > 1 {
+			groups = g
+		}
+	case OpPool:
+		op, pool, k, stride, pad = "pool", l.Pool.String(), l.K, l.Stride, l.Pad
+	case OpGlobalPool:
+		op = "gpool"
+	case OpFC:
+		op, outC = "fc", l.OutC
+	case OpEltwiseAdd:
+		op = "add"
+	case OpShuffle:
+		op, groups = "shuffle", l.NumGroups()
+	case OpConcat:
+		op = "concat"
+	default:
+		return dst, fmt.Errorf("nn: cannot encode op %v", l.Kind)
+	}
+	dst = appendKey(dst, "name")
+	dst = jsonindent.AppendString(dst, l.Name)
+	dst = append(dst, ',')
+	dst = appendKey(dst, "op")
+	dst = jsonindent.AppendString(dst, op)
+	if len(l.Inputs) > 0 {
+		dst = append(dst, ',')
+		dst = appendKey(dst, "inputs")
+		for i, in := range l.Inputs {
+			if i == 0 {
+				dst = append(dst, "[\n        "...)
+			} else {
+				dst = append(dst, ",\n        "...)
+			}
+			dst = jsonindent.AppendString(dst, in)
+		}
+		dst = append(dst, "\n      ]"...)
+	}
+	dst = appendStringMember(dst, "stage", l.Stage)
+	dst = appendIntMember(dst, "out_channels", outC)
+	dst = appendIntMember(dst, "kernel", k)
+	dst = appendIntMember(dst, "stride", stride)
+	dst = appendIntMember(dst, "pad", pad)
+	dst = appendIntMember(dst, "groups", groups)
+	return appendStringMember(dst, "pool", pool), nil
+}
+
+// appendKey starts a layer member: a new line at the member depth, the
+// key and the colon.
+func appendKey(dst []byte, key string) []byte {
+	dst = append(dst, "\n      \""...)
+	dst = append(dst, key...)
+	return append(dst, "\": "...)
+}
+
+// appendStringMember appends ", key: s" unless s is empty.
+func appendStringMember(dst []byte, key, s string) []byte {
+	if s == "" {
+		return dst
+	}
+	return jsonindent.AppendString(appendKey(append(dst, ','), key), s)
+}
+
+// appendIntMember appends ", key: v" unless v is zero.
+func appendIntMember(dst []byte, key string, v int) []byte {
+	if v == 0 {
+		return dst
+	}
+	return strconv.AppendInt(appendKey(append(dst, ','), key), int64(v), 10)
 }

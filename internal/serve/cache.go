@@ -125,10 +125,14 @@ func networkHash(req Request) (hash.Hash, error) {
 	if req.Net == nil {
 		return nil, errNoNetwork
 	}
-	if err := nn.EncodeJSON(h, req.Net); err != nil {
+	p := bufs.Get().(*[]byte)
+	defer putBuf(p)
+	b, err := nn.AppendJSON((*p)[:0], req.Net)
+	if err != nil {
 		return nil, fmt.Errorf("serve: hashing network: %w", err)
 	}
-	h.Write([]byte{0})
+	*p = append(b, 0)
+	h.Write(*p)
 	if req.zoo != "" {
 		if st, err := h.(encoding.BinaryMarshaler).MarshalBinary(); err == nil {
 			zooHashes.Store(req.zoo, st)
@@ -228,7 +232,7 @@ func (c *Cache) Put(k Key, res stats.RunStats) {
 // pooled scratch buffer.
 func encodedSize(res *stats.RunStats) (int64, error) {
 	p := bufs.Get().(*[]byte)
-	defer bufs.Put(p)
+	defer putBuf(p)
 	b, err := res.AppendJSON((*p)[:0], "", "")
 	*p = b
 	return int64(len(b)), err

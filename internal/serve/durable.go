@@ -227,7 +227,7 @@ func encodeWith[T any](encode func(io.Writer, T) error, v T) (json.RawMessage, e
 }
 
 func encodeGraphConfig(net *nn.Network, cfg core.Config) (json.RawMessage, json.RawMessage, error) {
-	g, err := encodeWith(nn.EncodeJSON, net)
+	g, err := nn.AppendJSON(nil, net)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"shortcutmining/internal/canonjson"
 	"shortcutmining/internal/core"
 	"shortcutmining/internal/dse"
 	"shortcutmining/internal/jsonindent"
@@ -41,6 +42,19 @@ type netBody struct {
 	// Config overrides platform fields (absent fields keep the
 	// calibrated defaults, fault spec included).
 	Config json.RawMessage `json:"config,omitempty"`
+
+	// graph is the inline graph as readSimulate read and built it in
+	// place; Graph then stays nil. graphOut marks a Graph that
+	// readSimulate saw leave canonjson's subset, so it is decoded by
+	// reflection alone rather than read in part a second time.
+	graph    *builtGraph
+	graphOut bool
+}
+
+// builtGraph is an inline graph's network and build error.
+type builtGraph struct {
+	net *nn.Network
+	err error
 }
 
 // simulateBody is the POST /v1/simulate document.
@@ -136,9 +150,30 @@ func NewHandler(e *Engine) http.Handler {
 	return withRequestID(e, mux)
 }
 
-// bufs recycles the scratch buffers replies are encoded into and
-// Cache.Put sizes entries in.
-var bufs = sync.Pool{New: func() any { return new([]byte) }}
+// bufs recycles the scratch buffers replies and network keys are
+// encoded into and Cache.Put sizes entries in; bodies recycles the
+// buffers request bodies are read into, which are far smaller than a
+// reply.
+var (
+	bufs   = sync.Pool{New: func() any { return new([]byte) }}
+	bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+)
+
+// The largest buffers the pools keep. A scratch buffer has room for
+// the largest zoo network's reply (about 90 KB); a body buffer for any
+// zoo graph inline. A larger one, from an inline graph near
+// maxBodyBytes, is left to the collector rather than held by a pool.
+const (
+	maxPooledBuf  = 256 << 10
+	maxPooledBody = 64 << 10
+)
+
+// putBuf returns p to bufs unless it outgrew maxPooledBuf.
+func putBuf(p *[]byte) {
+	if cap(*p) <= maxPooledBuf {
+		bufs.Put(p)
+	}
+}
 
 // writeJSON writes v as the indented reply jsonindent.Encode writes. It
 // encodes before it commits the status, so a value that cannot be
@@ -150,7 +185,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 		return
 	}
 	p := bufs.Get().(*[]byte)
-	defer bufs.Put(p)
+	defer putBuf(p)
 	// Two-space indentation makes a reply about 1.7–1.9× its compact
 	// size; 2× leaves room for it and the newline.
 	*p = append(jsonindent.AppendIndent(slices.Grow((*p)[:0], 2*len(b)+1), b, "", "  "), '\n')
@@ -162,7 +197,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // RunStats.AppendJSON straight into a pooled buffer.
 func writeSimulateReply(w http.ResponseWriter, cached bool, reqID string, res *stats.RunStats) {
 	p := bufs.Get().(*[]byte)
-	defer bufs.Put(p)
+	defer putBuf(p)
 	b := append((*p)[:0], "{\n  \"cached\": "...)
 	b = strconv.AppendBool(b, cached)
 	if reqID != "" {
@@ -229,10 +264,14 @@ func (b netBody) resolve() (*nn.Network, core.Config, error) {
 	var net *nn.Network
 	var err error
 	switch {
-	case b.Network != "" && b.Graph != nil:
+	case b.Network != "" && b.hasGraph():
 		return nil, core.Config{}, errors.New("set either network or graph, not both")
 	case b.Network != "":
 		net, err = nn.Build(b.Network)
+	case b.graph != nil:
+		net, err = b.graph.net, b.graph.err
+	case b.Graph != nil && b.graphOut:
+		net, err = nn.DecodeJSONReflect(bytes.NewReader(b.Graph))
 	case b.Graph != nil:
 		net, err = nn.DecodeJSON(bytes.NewReader(b.Graph))
 	default:
@@ -244,6 +283,9 @@ func (b netBody) resolve() (*nn.Network, core.Config, error) {
 	cfg, err := resolveConfig(b.Config)
 	return net, cfg, err
 }
+
+// hasGraph reports whether the document carries an inline graph.
+func (b netBody) hasGraph() bool { return b.Graph != nil || b.graph != nil }
 
 // resolveConfig applies optional overrides to the calibrated defaults.
 func resolveConfig(raw json.RawMessage) (core.Config, error) {
@@ -273,33 +315,103 @@ func parseSimulate(w http.ResponseWriter, r *http.Request) (simulateBody, Reques
 	return body, req, true
 }
 
-// decodeSimulate decodes a simulate document into its Request.
+// decodeSimulate decodes a simulate document into its Request. It
+// reads the body once; a document in canonjson's subset is decoded in
+// that one pass, its graph built in place, and any other goes through
+// decodeJSON, whose errors are the API's.
 func decodeSimulate(r io.Reader, reqID string) (simulateBody, Request, error) {
+	buf := bodies.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			bodies.Put(buf)
+		}
+	}()
+	buf.Reset()
+	_, rerr := buf.ReadFrom(r)
+	data := buf.Bytes()
 	var body simulateBody
-	if err := decodeJSON(r, &body); err != nil {
-		return body, Request{}, err
+	ok, graphOut := false, false
+	if rerr == nil {
+		ok, graphOut = readSimulate(data, &body)
 	}
+	if !ok {
+		body = simulateBody{}
+		body.graphOut = graphOut
+		if err := decodeJSON(canonjson.Replay(data, rerr), &body); err != nil {
+			return body, Request{}, err
+		}
+	}
+	req, err := body.request(reqID)
+	return body, req, err
+}
+
+// simulateKeys are simulateBody's member names, netBody's included.
+var simulateKeys = []string{"network", "graph", "config", "strategy", "observe", "trace", "async", "timeout_ms"}
+
+// readSimulate reads a simulate document in canonjson's subset into
+// body and reports whether it was one, and if not, whether its graph
+// member was what left the subset. Config keeps its own decoder: its
+// bytes are copied out of data, which the caller reuses.
+func readSimulate(data []byte, body *simulateBody) (ok, graphOut bool) {
+	cr := canonjson.NewReader(data)
+	var build func() (*nn.Network, error)
+	cr.Object(simulateKeys, func(i int) {
+		switch i {
+		case 0:
+			body.Network = cr.Str()
+		case 1:
+			build = nn.ReadJSON(cr)
+			graphOut = build == nil
+		case 2:
+			body.Config = bytes.Clone(cr.Raw())
+		case 3:
+			body.Strategy = cr.Str()
+		case 4:
+			body.Observe = cr.Bool()
+		case 5:
+			body.Trace = cr.Bool()
+		case 6:
+			body.Async = cr.Bool()
+		case 7:
+			body.TimeoutMS = int64(cr.Int())
+		}
+	})
+	// The graph is built only once the whole document is known to be
+	// in the subset, so a body that falls back builds it once.
+	if cr.End(); !cr.OK() {
+		return false, graphOut
+	}
+	if build != nil {
+		net, err := build()
+		body.graph = &builtGraph{net: net, err: err}
+	}
+	return true, false
+}
+
+// request validates a decoded simulate document and resolves it into
+// its Request.
+func (body simulateBody) request(reqID string) (Request, error) {
 	if body.TimeoutMS < 0 || body.TimeoutMS > math.MaxInt64/int64(time.Millisecond) {
-		return body, Request{}, fmt.Errorf("timeout_ms %d out of range [0, %d]", body.TimeoutMS, math.MaxInt64/int64(time.Millisecond))
+		return Request{}, fmt.Errorf("timeout_ms %d out of range [0, %d]", body.TimeoutMS, math.MaxInt64/int64(time.Millisecond))
 	}
 	// A warm zoo name is hashed from its memoized state, so the network
 	// is built only when a run needs it (Request.built).
 	var net *nn.Network
 	var cfg core.Config
 	var err error
-	if body.Graph == nil && warmZoo(body.Network) {
+	if !body.hasGraph() && warmZoo(body.Network) {
 		cfg, err = resolveConfig(body.Config)
 	} else {
 		net, cfg, err = body.resolve()
 	}
 	if err != nil {
-		return body, Request{}, err
+		return Request{}, err
 	}
 	strategy, err := parseStrategy(body.Strategy)
 	if err != nil {
-		return body, Request{}, err
+		return Request{}, err
 	}
-	return body, Request{Net: net, Cfg: cfg, Strategy: strategy, Observe: body.Observe, RequestID: reqID, zoo: body.Network}, nil
+	return Request{Net: net, Cfg: cfg, Strategy: strategy, Observe: body.Observe, RequestID: reqID, zoo: body.Network}, nil
 }
 
 // serveSimulate executes a parsed simulate request on e and writes the
