@@ -75,6 +75,7 @@ var ruleDescriptions = map[string]string{
 	analysis.CheckCtxFlow:       "Context-receiving functions must not start fresh contexts below the API boundary",
 	analysis.CheckSnapshot:      "Serialized-schema structs keep exported, explicitly json-tagged, schema-stable fields",
 	analysis.CheckDetTransitive: "Deterministic packages must not reach nondeterminism through the call graph",
+	analysis.CheckImmutable:     "Fields of a built network are written only by the package that builds it",
 	analysis.CheckSuppress:      "scmvet:ok annotations need a known check list and a reason",
 }
 

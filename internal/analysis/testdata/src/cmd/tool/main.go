@@ -1,5 +1,6 @@
 // Command tool is cmd-exemption corpus: main programs may panic, read
-// the clock, call Must wrappers, and drop errors without findings.
+// the clock, call Must wrappers, and drop errors without findings. The
+// immutable check has no exemption: a command may not edit a network.
 package main
 
 import (
@@ -15,5 +16,6 @@ func main() {
 	if n == nil {
 		panic("unreachable")
 	}
+	n.Name = "renamed" // want `\[immutable\] write to internal/nn\.Network\.Name outside internal/nn`
 	fmt.Println(n.Name, time.Since(start))
 }

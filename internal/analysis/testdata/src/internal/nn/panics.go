@@ -1,10 +1,13 @@
-// Package nn is nopanic-check corpus.
+// Package nn is nopanic-check and immutable-check corpus.
 package nn
 
 import "errors"
 
-// Network is a stand-in result type.
-type Network struct{ Name string }
+// Network is a stand-in result type, immutable outside this package.
+type Network struct {
+	Name   string
+	Layers []*Layer
+}
 
 // Build returns an error like library code should.
 func Build(name string) (*Network, error) {

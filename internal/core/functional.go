@@ -123,8 +123,9 @@ func (f *funcState) computeGolden(e *executor, l *nn.Layer) error {
 
 // verifyInputs reconstructs every operand from its on-chip payload and
 // spilled suffix and compares against the golden tensor.
-func (f *funcState) verifyInputs(e *executor, l *nn.Layer, distinct []int) error {
-	for _, p := range distinct {
+func (f *funcState) verifyInputs(e *executor, l *nn.Layer, distinct []int32) error {
+	for _, q := range distinct {
+		p := int(q)
 		r := e.residents[p]
 		if r == nil {
 			return fmt.Errorf("functional: %s reads unproduced fmap %d", l.Name, p)

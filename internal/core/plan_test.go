@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"shortcutmining/internal/dram"
@@ -26,31 +27,180 @@ func concatNet(t *testing.T) *nn.Network {
 	return n
 }
 
+// consumptionPlan and buildConsumptionPlan are the per-run plan
+// builder Simulate used before nn.Builder.Finish computed the plan
+// once; they stay here as the oracle the Finish plan is held to.
+type consumptionPlan struct {
+	sources   [][]int
+	distinct  [][]int
+	consumers []int
+	lastUse   []int
+}
+
+func buildConsumptionPlan(net *nn.Network) consumptionPlan {
+	n := len(net.Layers)
+	cp := consumptionPlan{
+		sources:   make([][]int, n),
+		distinct:  make([][]int, n),
+		consumers: make([]int, n),
+		lastUse:   make([]int, n),
+	}
+	for i := range cp.lastUse {
+		cp.lastUse[i] = i
+	}
+	var expand func(p *nn.Layer) []int
+	memo := make(map[int][]int)
+	expand = func(p *nn.Layer) []int {
+		if p.Kind != nn.OpConcat {
+			return []int{p.Index}
+		}
+		if got, ok := memo[p.Index]; ok {
+			return got
+		}
+		var out []int
+		for _, in := range p.Inputs {
+			out = append(out, expand(net.Layer(in))...)
+		}
+		memo[p.Index] = out
+		return out
+	}
+	for _, l := range net.Layers {
+		if l.Kind == nn.OpInput || l.Kind == nn.OpConcat {
+			continue
+		}
+		var srcs []int
+		for _, in := range l.Inputs {
+			srcs = append(srcs, expand(net.Layer(in))...)
+		}
+		cp.sources[l.Index] = srcs
+		cp.distinct[l.Index] = uniqueInts(srcs)
+		for _, p := range cp.distinct[l.Index] {
+			cp.consumers[p]++
+			if l.Index > cp.lastUse[p] {
+				cp.lastUse[p] = l.Index
+			}
+		}
+	}
+	return cp
+}
+
+// uniqueInts returns the distinct values of s in first-appearance
+// order.
+func uniqueInts(s []int) []int {
+	var out []int
+	for _, v := range s {
+		seen := false
+		for _, u := range out {
+			if u == v {
+				seen = true
+				break
+			}
+		}
+		if !seen {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// finishPlan returns the plan nn.Builder.Finish computed for n.
+func finishPlan(t *testing.T, n *nn.Network) *nn.Plan {
+	t.Helper()
+	cp, err := n.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cp
+}
+
+// ints widens a plan list for comparison with the oracle.
+func ints(s []int32) []int {
+	var out []int
+	for _, v := range s {
+		out = append(out, int(v))
+	}
+	return out
+}
+
+// checkPlanMatchesOracle compares every layer of n's Finish plan with
+// the oracle.
+func checkPlanMatchesOracle(t *testing.T, n *nn.Network) {
+	t.Helper()
+	cp := finishPlan(t, n)
+	want := buildConsumptionPlan(n)
+	for i := range n.Layers {
+		if got := ints(cp.Sources(i)); !slices.Equal(got, want.sources[i]) {
+			t.Errorf("%s: layer %d sources = %v, oracle %v", n.Name, i, got, want.sources[i])
+		}
+		if got := ints(cp.Distinct(i)); !slices.Equal(got, want.distinct[i]) {
+			t.Errorf("%s: layer %d distinct = %v, oracle %v", n.Name, i, got, want.distinct[i])
+		}
+		if cp.Consumers(i) != want.consumers[i] || cp.LastUse(i) != want.lastUse[i] {
+			t.Errorf("%s: layer %d consumers/lastUse = %d/%d, oracle %d/%d",
+				n.Name, i, cp.Consumers(i), cp.LastUse(i), want.consumers[i], want.lastUse[i])
+		}
+	}
+}
+
+// TestPlanMatchesOracle holds the plan nn.Builder.Finish computes to
+// the per-run builder it replaced, over every zoo network, seeded
+// random networks, and hand-built concat nestings.
+func TestPlanMatchesOracle(t *testing.T) {
+	for _, name := range nn.ZooNames() {
+		checkPlanMatchesOracle(t, nn.MustBuild(name))
+	}
+	for seed := int64(0); seed < 300; seed++ {
+		n, err := nn.RandomNetwork(seed)
+		if err != nil {
+			t.Fatalf("RandomNetwork(%d): %v", seed, err)
+		}
+		checkPlanMatchesOracle(t, n)
+	}
+	checkPlanMatchesOracle(t, concatNet(t))
+
+	// A concat read twice, nested two deep, and added to one of its
+	// own sources: duplicates at every level.
+	b := nn.NewBuilder("dupcat", tensor.Shape{C: 4, H: 8, W: 8})
+	a := b.Conv("a", b.InputName(), 4, 1, 1, 0)
+	c := b.Conv("c", a, 4, 3, 1, 1)
+	cat1 := b.Concat("cat1", a, c, a)
+	cat2 := b.Concat("cat2", cat1, c, cat1)
+	d := b.Conv("d", cat2, 4, 1, 1, 0)
+	b.Concat("cat3", d, b.InputName())
+	e := b.Conv("e", "cat3", 28, 1, 1, 0)
+	b.Add("sum", cat2, e)
+	n, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPlanMatchesOracle(t, n)
+}
+
 func TestConsumptionPlanExpandsConcats(t *testing.T) {
 	n := concatNet(t)
-	cp := buildConsumptionPlan(n)
+	cp := finishPlan(t, n)
 
 	// The concat layers themselves consume nothing.
-	if len(cp.sources[4]) != 0 || len(cp.sources[6]) != 0 {
-		t.Errorf("concat sources = %v / %v, want empty", cp.sources[4], cp.sources[6])
+	if len(cp.Sources(4)) != 0 || len(cp.Sources(6)) != 0 {
+		t.Errorf("concat sources = %v / %v, want empty", cp.Sources(4), cp.Sources(6))
 	}
 	// head (5) reads e1 (2) and e3 (3) through the concat.
-	if got := cp.sources[5]; len(got) != 2 || got[0] != 2 || got[1] != 3 {
+	if got := cp.Sources(5); len(got) != 2 || got[0] != 2 || got[1] != 3 {
 		t.Errorf("head sources = %v, want [2 3]", got)
 	}
 	// sq (1) is read by e1 and e3 only.
-	if cp.consumers[1] != 2 {
-		t.Errorf("sq consumers = %d, want 2", cp.consumers[1])
+	if cp.Consumers(1) != 2 {
+		t.Errorf("sq consumers = %d, want 2", cp.Consumers(1))
 	}
 	// e1 (2) is read by head (through cat) and would be read again by
 	// a consumer of cat2 — but cat2 has no consumers, so e1's last use
 	// is head.
-	if cp.consumers[2] != 1 || cp.lastUse[2] != 5 {
-		t.Errorf("e1 consumers=%d lastUse=%d, want 1/5", cp.consumers[2], cp.lastUse[2])
+	if cp.Consumers(2) != 1 || cp.LastUse(2) != 5 {
+		t.Errorf("e1 consumers=%d lastUse=%d, want 1/5", cp.Consumers(2), cp.LastUse(2))
 	}
 	// Unconsumed outputs last-use themselves.
-	if cp.lastUse[6] != 6 {
-		t.Errorf("cat2 lastUse = %d", cp.lastUse[6])
+	if cp.LastUse(6) != 6 {
+		t.Errorf("cat2 lastUse = %d", cp.LastUse(6))
 	}
 }
 
@@ -66,21 +216,14 @@ func TestConsumptionPlanNestedConcats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := buildConsumptionPlan(n)
+	cp := finishPlan(t, n)
 	// head reads a, c, d through two concat levels, in order.
-	want := []int{1, 2, 4}
-	got := cp.sources[6]
-	if len(got) != len(want) {
-		t.Fatalf("head sources = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("source[%d] = %d, want %d", i, got[i], want[i])
-		}
+	if got, want := ints(cp.Sources(6)), []int{1, 2, 4}; !slices.Equal(got, want) {
+		t.Errorf("head sources = %v, want %v", got, want)
 	}
 	// The input feeds a, c, d: three consumers.
-	if cp.consumers[0] != 3 {
-		t.Errorf("input consumers = %d, want 3", cp.consumers[0])
+	if cp.Consumers(0) != 3 {
+		t.Errorf("input consumers = %d, want 3", cp.Consumers(0))
 	}
 }
 
@@ -95,14 +238,14 @@ func TestConsumptionPlanDuplicateReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := buildConsumptionPlan(n)
-	if got := cp.sources[3]; len(got) != 2 {
+	cp := finishPlan(t, n)
+	if got := cp.Sources(3); len(got) != 2 {
 		t.Fatalf("add sources = %v", got)
 	}
 	// x is consumed by two distinct layers (y and add), counted once
 	// per layer.
-	if cp.consumers[1] != 2 {
-		t.Errorf("x consumers = %d, want 2", cp.consumers[1])
+	if cp.Consumers(1) != 2 {
+		t.Errorf("x consumers = %d, want 2", cp.Consumers(1))
 	}
 }
 
@@ -115,15 +258,8 @@ func TestUniqueInts(t *testing.T) {
 		{[]int{3, 1, 3, 2, 1}, []int{3, 1, 2}},
 	}
 	for _, c := range cases {
-		got := uniqueInts(c.in)
-		if len(got) != len(c.want) {
-			t.Errorf("uniqueInts(%v) = %v", c.in, got)
-			continue
-		}
-		for i := range c.want {
-			if got[i] != c.want[i] {
-				t.Errorf("uniqueInts(%v)[%d] = %d, want %d", c.in, i, got[i], c.want[i])
-			}
+		if got := uniqueInts(c.in); !slices.Equal(got, c.want) {
+			t.Errorf("uniqueInts(%v) = %v, want %v", c.in, got, c.want)
 		}
 	}
 }
@@ -135,7 +271,7 @@ func TestNextUseAfter(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.net = n
-	e.cp = buildConsumptionPlan(n)
+	e.cp = finishPlan(t, n)
 	// e1 (2) is next used at head (5) from any point before.
 	if got := e.nextUseAfter(2, 2); got != 5 {
 		t.Errorf("nextUseAfter(e1, 2) = %d, want 5", got)

@@ -89,14 +89,17 @@ func NewRun(net *nn.Network, cfg Config, strat Strategy, rec trace.Recorder, reg
 	return newRun(net, cfg, strat.Features(), rec, reg)
 }
 
-// newRun validates the network and the platform and builds a run with
-// an explicit feature set. Every entry point constructs through it.
+// newRun validates the platform and builds a run with an explicit
+// feature set. The network was validated, and its consumption plan
+// computed, by nn.Builder.Finish; a network without a plan is an
+// error. Every entry point constructs through it.
 func newRun(net *nn.Network, cfg Config, feat Features, rec trace.Recorder, reg *metrics.Registry) (*Run, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := net.Validate(); err != nil {
-		return nil, err
+	cp, err := net.Plan()
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	e, err := newExecutor(cfg)
 	if err != nil {
@@ -109,7 +112,7 @@ func newRun(net *nn.Network, cfg Config, feat Features, rec trace.Recorder, reg 
 	e.obs.attach(e)
 	e.net = net
 	e.feat = feat
-	e.cp = buildConsumptionPlan(net)
+	e.cp = cp
 	e.residents = make([]*resident, len(net.Layers))
 	e.run = stats.RunStats{
 		Network:  net.Name,

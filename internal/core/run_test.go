@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -153,6 +154,62 @@ func TestUnknownStrategyRejected(t *testing.T) {
 		for _, en := range entries {
 			if err := en.run(s); err == nil || !strings.Contains(err.Error(), "unknown strategy") {
 				t.Errorf("%s(%v) = %v, want an unknown-strategy error", en.name, s, err)
+			}
+		}
+	}
+}
+
+// TestUnbuiltNetworkRejected feeds every network entry point a nil,
+// a zero, and a hand-assembled network: none carries the plan
+// nn.Builder.Finish computes, so each gets nn.ErrUnbuilt, not a panic.
+func TestUnbuiltNetworkRejected(t *testing.T) {
+	built := residualNet(t)
+	cfg := smallConfig()
+	snap := func() *RunSnapshot {
+		r, err := NewRun(built, cfg, SCM, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Step(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Suspend(); err != nil {
+			t.Fatal(err)
+		}
+		s, err := r.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}()
+	for _, tc := range []struct {
+		name string
+		net  *nn.Network
+	}{
+		{"nil", nil},
+		{"zero", &nn.Network{}},
+		{"hand-assembled", &nn.Network{Name: built.Name, InputShape: built.InputShape, Layers: built.Layers}},
+	} {
+		entries := []struct {
+			name string
+			run  func() error
+		}{
+			{"Simulate", func() error { _, err := Simulate(tc.net, cfg, SCM, nil); return err }},
+			{"NewRun", func() error { _, err := NewRun(tc.net, cfg, SCM, nil, nil); return err }},
+			{"SimulateFeatures", func() error { _, err := SimulateFeatures(tc.net, cfg, SCM.Features(), nil); return err }},
+			{"VerifyFunctional", func() error { _, err := VerifyFunctional(tc.net, cfg, SCM.Features(), 1); return err }},
+			{"RestoreRun", func() error { _, err := RestoreRun(tc.net, cfg, snap); return err }},
+		}
+		for _, en := range entries {
+			err := en.run()
+			if tc.net == nil && en.name == "RestoreRun" {
+				if err == nil || !strings.Contains(err.Error(), "needs a network") {
+					t.Errorf("%s(%s) = %v, want a needs-a-network error", en.name, tc.name, err)
+				}
+				continue
+			}
+			if !errors.Is(err, nn.ErrUnbuilt) {
+				t.Errorf("%s(%s) = %v, want nn.ErrUnbuilt", en.name, tc.name, err)
 			}
 		}
 	}

@@ -91,7 +91,7 @@ type executor struct {
 	ch   *dram.Channel
 	rec  *trace.Stamper // nil when tracing is off
 	obs  *observer      // nil when metrics are off
-	cp   consumptionPlan
+	cp   *nn.Plan
 	fn   *funcState // non-nil in functional-verification mode
 
 	// clock is the simulated cycle at which the current layer starts
@@ -163,7 +163,7 @@ func (e *executor) planBudget(l *nn.Layer) tiling.Budget {
 	}
 	free := e.pool.FreeBytes()
 	var inOnChip int64
-	for _, p := range e.cp.distinct[l.Index] {
+	for _, p := range e.cp.Distinct(l.Index) {
 		inOnChip += e.residents[p].onChip
 	}
 	return tiling.Budget{IBuf: inOnChip + free, OBuf: free, WBuf: e.cfg.WeightBufBytes}
@@ -199,8 +199,8 @@ type recyclable struct {
 // layer may do the same with its input, provided the tiling makes a
 // single monotone pass (no output-channel grouping, which would
 // re-stream the input) and a window-sized margin survives.
-func (e *executor) recyclables(l *nn.Layer, distinct []int, plan tiling.Plan) []recyclable {
-	finalPass := func(p int) *resident {
+func (e *executor) recyclables(l *nn.Layer, distinct []int32, plan tiling.Plan) []recyclable {
+	finalPass := func(p int32) *resident {
 		r := e.residents[p]
 		if r.consumersLeft == 1 && r.buf != nil && !r.buf.Freed() && !r.buf.Pinned() {
 			return r
@@ -247,8 +247,8 @@ func (e *executor) recyclables(l *nn.Layer, distinct []int, plan tiling.Plan) []
 // does.
 func (e *executor) nextUseAfter(p, i int) int {
 	for j := i + 1; j < len(e.net.Layers); j++ {
-		for _, s := range e.cp.sources[j] {
-			if s == p {
+		for _, s := range e.cp.Sources(j) {
+			if int(s) == p {
 				return j
 			}
 		}
@@ -261,7 +261,7 @@ func (e *executor) nextUseAfter(p, i int) int {
 // future, provided it is farther than the output's own next use
 // (otherwise eviction would be a strict loss). Inputs of the current
 // layer are untouchable — they are being read right now.
-func (e *executor) evictOneBank(l *nn.Layer, distinct []int, outNext int) (bool, error) {
+func (e *executor) evictOneBank(l *nn.Layer, distinct []int32, outNext int) (bool, error) {
 	best, bestNext := -1, outNext
 	for p, r := range e.residents {
 		if r == nil || r.buf == nil || r.buf.Freed() || !r.buf.Pinned() {
@@ -269,7 +269,7 @@ func (e *executor) evictOneBank(l *nn.Layer, distinct []int, outNext int) (bool,
 		}
 		current := false
 		for _, d := range distinct {
-			if d == p {
+			if int(d) == p {
 				current = true
 				break
 			}
@@ -324,7 +324,7 @@ func (e *executor) evictOneBank(l *nn.Layer, distinct []int, outNext int) (bool,
 // before freeing the next, which keeps the bank order of a per-bank
 // loop. It returns the buffer (nil when nothing could be retained), the
 // retained bytes, and the recycled bank count.
-func (e *executor) allocOutput(l *nn.Layer, want int64, recycle []recyclable, distinct []int) (*sram.Buffer, int64, int64, error) {
+func (e *executor) allocOutput(l *nn.Layer, want int64, recycle []recyclable, distinct []int32) (*sram.Buffer, int64, int64, error) {
 	if !e.feat.PartialRetention {
 		capacity := e.pool.FreeBytes() - int64(e.cfg.ReserveBanks)*e.bankBytes()
 		for _, rb := range recycle {
@@ -452,7 +452,7 @@ func (e *executor) execLayer(l *nn.Layer) error {
 		total := l.Out.Bytes(d)
 		e.residents[0] = &resident{
 			producer: 0, total: total, spilled: total,
-			consumersLeft: e.cp.consumers[0], lastUse: e.cp.lastUse[0],
+			consumersLeft: e.cp.Consumers(0), lastUse: e.cp.LastUse(0),
 		}
 		if e.fn != nil {
 			e.fn.produceInput(e, l)
@@ -489,8 +489,8 @@ func (e *executor) execLayer(l *nn.Layer) error {
 		return err
 	}
 
-	srcs := e.cp.sources[l.Index]
-	distinct := e.cp.distinct[l.Index]
+	srcs := e.cp.Sources(l.Index)
+	distinct := e.cp.Distinct(l.Index)
 
 	// Operands at their final read are unpinned so the add can recycle
 	// their banks and the epilogue can free them.
@@ -523,7 +523,8 @@ func (e *executor) execLayer(l *nn.Layer) error {
 	if inTotal > 0 {
 		factor = float64(plan.IFMReadBytes) / float64(inTotal)
 	}
-	for _, p := range srcs {
+	for _, q := range srcs {
+		p := int(q)
 		r := e.residents[p]
 		ls.ReusedInputBytes += r.onChip
 		shortcut := l.Index-p > 1 && p != 0
@@ -564,8 +565,8 @@ func (e *executor) execLayer(l *nn.Layer) error {
 
 	// Output placement.
 	outBytes := l.Out.Bytes(d)
-	consumers := e.cp.consumers[l.Index]
-	lastUse := e.cp.lastUse[l.Index]
+	consumers := e.cp.Consumers(l.Index)
+	lastUse := e.cp.LastUse(l.Index)
 	out := &resident{producer: l.Index, total: outBytes, consumersLeft: consumers, lastUse: lastUse}
 
 	keep := e.feat.RoleSwitch && consumers > 0
@@ -664,7 +665,7 @@ func (e *executor) execLayer(l *nn.Layer) error {
 	// priority.
 	if e.feat.ShortcutRetention {
 		for _, p := range distinct {
-			if err := e.captureSpilled(l, p); err != nil {
+			if err := e.captureSpilled(l, int(p)); err != nil {
 				return err
 			}
 		}

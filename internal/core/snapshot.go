@@ -159,6 +159,10 @@ func (s *RunSnapshot) Validate(net *nn.Network) error {
 	if net == nil {
 		return fmt.Errorf("core: snapshot restore needs a network")
 	}
+	cp, err := net.Plan()
+	if err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
 	if s.Network != net.Name {
 		return fmt.Errorf("core: snapshot of %q cannot restore onto network %q", s.Network, net.Name)
 	}
@@ -183,10 +187,9 @@ func (s *RunSnapshot) Validate(net *nn.Network) error {
 	}
 	// left[p] counts the layers still to run that read producer p: the
 	// consumers its resident record must have left.
-	cp := buildConsumptionPlan(net)
 	left := make([]int, n)
-	for _, distinct := range cp.distinct[s.Next:] {
-		for _, p := range distinct {
+	for j := s.Next; j < n; j++ {
+		for _, p := range cp.Distinct(j) {
 			left[p]++
 		}
 	}
@@ -203,9 +206,9 @@ func (s *RunSnapshot) Validate(net *nn.Network) error {
 			return fmt.Errorf("core: snapshot resident %d has inconsistent byte counts (total %d, on-chip %d, spilled %d)",
 				rs.Producer, rs.Total, rs.OnChip, rs.Spilled)
 		}
-		if rs.ConsumersLeft != left[rs.Producer] || rs.LastUse != cp.lastUse[rs.Producer] {
+		if rs.ConsumersLeft != left[rs.Producer] || rs.LastUse != cp.LastUse(rs.Producer) {
 			return fmt.Errorf("core: snapshot resident %d has %d consumers left and last use %d, the network has %d and %d",
-				rs.Producer, rs.ConsumersLeft, rs.LastUse, left[rs.Producer], cp.lastUse[rs.Producer])
+				rs.Producer, rs.ConsumersLeft, rs.LastUse, left[rs.Producer], cp.LastUse(rs.Producer))
 		}
 	}
 	for p := range s.Next {

@@ -127,8 +127,8 @@ func Simulate(net *nn.Network, cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	if err := net.Validate(); err != nil {
-		return Result{}, err
+	if _, err := net.Plan(); err != nil {
+		return Result{}, fmt.Errorf("fused: %w", err)
 	}
 	ch, err := dram.NewChannel(cfg.DRAM)
 	if err != nil {

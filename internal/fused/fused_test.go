@@ -1,6 +1,7 @@
 package fused
 
 import (
+	"errors"
 	"testing"
 
 	"shortcutmining/internal/core"
@@ -266,6 +267,14 @@ func TestEveryLayerAppearsInExactlyOneGroup(t *testing.T) {
 		}
 		if !seen[l.Index] {
 			t.Errorf("layer %s missing from the fusion plan", l.Name)
+		}
+	}
+}
+
+func TestUnbuiltNetworkRejected(t *testing.T) {
+	for _, net := range []*nn.Network{nil, {}} {
+		if _, err := Simulate(net, testConfig()); !errors.Is(err, nn.ErrUnbuilt) {
+			t.Errorf("Simulate(%v) = %v, want nn.ErrUnbuilt", net, err)
 		}
 	}
 }

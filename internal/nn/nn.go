@@ -83,8 +83,9 @@ func (p PoolKind) String() string {
 }
 
 // Layer is one node of the network graph. Fields beyond the geometry
-// (Index, In, Out) are filled in by Builder.Finish during shape
-// inference and must be treated as read-only afterwards.
+// (Index, In, Out) are filled in by the Builder during shape
+// inference. Like its Network, a Layer is immutable once
+// Builder.Finish returns.
 type Layer struct {
 	Name   string
 	Kind   OpKind
@@ -165,12 +166,21 @@ func (l *Layer) WeightBytes(d tensor.DataType) int64 {
 
 // Network is a validated, shape-inferred layer graph in topological
 // order. Construct one with Builder; a zero Network is not usable.
+//
+// A Network is immutable once Builder.Finish returns it: Finish
+// computes its consumption plan (Plan) from the graph, and every run
+// reads that plan instead of rebuilding it, so a network may be shared
+// by any number of concurrent runs. No code outside this package may
+// write a field of a Network or of one of its Layers (scm-vet's
+// immutable check enforces it); derive a changed graph by building a
+// new network.
 type Network struct {
 	Name       string
 	InputShape tensor.Shape
 	Layers     []*Layer
 
 	byName map[string]*Layer
+	plan   Plan
 }
 
 // Layer returns the layer with the given name, or nil.
@@ -478,8 +488,8 @@ func (b *Builder) Concat(name string, inputs ...string) string {
 	return b.add(&Layer{Name: name, Kind: OpConcat, Inputs: inputs})
 }
 
-// Finish validates and returns the network. The builder must not be
-// used afterwards.
+// Finish validates the network, computes its consumption plan, and
+// returns it. The builder must not be used afterwards.
 func (b *Builder) Finish() (*Network, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -490,6 +500,11 @@ func (b *Builder) Finish() (*Network, error) {
 	if err := b.net.Validate(); err != nil {
 		return nil, err
 	}
+	p, err := buildPlan(b.net)
+	if err != nil {
+		return nil, err
+	}
+	b.net.plan = p
 	return b.net, nil
 }
 

@@ -3,11 +3,13 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"shortcutmining/internal/nn"
 )
@@ -247,6 +249,35 @@ func TestDecodeSimulateOverLimit(t *testing.T) {
 		checkAgainstReference(t, body, maxBodyBytes)
 		if _, _, err := decodeSimulate(http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(body)), maxBodyBytes), ""); err == nil {
 			t.Errorf("a %d B body decoded under the %d B limit", len(body), maxBodyBytes)
+		}
+	}
+}
+
+// TestDecodeJSONReadErrorAfterDocument: a read error that comes after
+// a whole document — MaxBytesReader's limit falling in trailing
+// whitespace, or any failing stream — is reported as that error, not
+// as trailing data; real trailing bytes still are.
+func TestDecodeJSONReadErrorAfterDocument(t *testing.T) {
+	doc := coldBody(t)
+	padded := append(append([]byte(nil), doc...), bytes.Repeat([]byte(" "), maxBodyBytes)...)
+	var body simulateBody
+	err := decodeJSON(http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(padded)), maxBodyBytes), &body)
+	var tooLarge *http.MaxBytesError
+	if !errors.As(err, &tooLarge) || !strings.HasPrefix(err.Error(), "decoding request: ") {
+		t.Errorf("over-limit padded body: %v, want the decoding-request MaxBytesReader error", err)
+	}
+	if _, _, err := decodeSimulate(http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(padded)), maxBodyBytes), ""); !errors.As(err, &tooLarge) {
+		t.Errorf("decodeSimulate of the over-limit padded body: %v, want the MaxBytesReader error", err)
+	}
+
+	broken := errors.New("connection reset")
+	r := io.MultiReader(bytes.NewReader([]byte(`{"network":"densechain"} `)), iotest.ErrReader(broken))
+	if err := decodeJSON(r, &simulateBody{}); !errors.Is(err, broken) {
+		t.Errorf("stream failing after the document: %v, want %v", err, broken)
+	}
+	for _, trailing := range []string{`{"network":"densechain"} x`, `{"network":"densechain"}{}`, `{"network":"densechain"} "`} {
+		if err := decodeJSON(strings.NewReader(trailing), &simulateBody{}); err == nil || err.Error() != "decoding request: unexpected data after the JSON document" {
+			t.Errorf("decodeJSON(%q) = %v, want the trailing-data error", trailing, err)
 		}
 	}
 }

@@ -664,15 +664,26 @@ func (p *Pool) Merge(role Role, tag string, bufs ...*Buffer) (*Buffer, error) {
 // service; free-list entries are unique; retired banks are never owned
 // or free; and every buffer's payload fits its banks.
 func (p *Pool) CheckInvariants() error {
-	seen := make(map[int]string, p.cfg.NumBanks)
+	// mark[bank] is 0 while unseen, markFree on the free list, and
+	// buffer id + 1 when owned; who names a mark only for an error.
+	const markFree = -1
+	mark := make([]int, p.cfg.NumBanks)
+	seen := 0
+	who := func(m int) string {
+		if m == markFree {
+			return "free list"
+		}
+		return fmt.Sprintf("buffer %q", p.buffers[m-1].tag)
+	}
 	for _, bank := range p.free {
 		if bank < 0 || bank >= p.cfg.NumBanks {
 			return fmt.Errorf("sram: free list has out-of-range bank %d", bank)
 		}
-		if who, dup := seen[bank]; dup {
-			return fmt.Errorf("sram: bank %d on free list and %s", bank, who)
+		if m := mark[bank]; m != 0 {
+			return fmt.Errorf("sram: bank %d on free list and %s", bank, who(m))
 		}
-		seen[bank] = "free list"
+		mark[bank] = markFree
+		seen++
 		if p.owner[bank] != -1 {
 			return fmt.Errorf("sram: free bank %d has owner %d", bank, p.owner[bank])
 		}
@@ -692,10 +703,11 @@ func (p *Pool) CheckInvariants() error {
 			if bank < 0 || bank >= p.cfg.NumBanks {
 				return fmt.Errorf("sram: buffer %q has out-of-range bank %d", b.tag, bank)
 			}
-			if who, dup := seen[bank]; dup {
-				return fmt.Errorf("sram: bank %d owned by %q and %s", bank, b.tag, who)
+			if m := mark[bank]; m != 0 {
+				return fmt.Errorf("sram: bank %d owned by %q and %s", bank, b.tag, who(m))
 			}
-			seen[bank] = fmt.Sprintf("buffer %q", b.tag)
+			mark[bank] = b.id + 1
+			seen++
 			if p.owner[bank] != b.id {
 				return fmt.Errorf("sram: bank %d owner map says %d, buffer is %d", bank, p.owner[bank], b.id)
 			}
@@ -719,8 +731,8 @@ func (p *Pool) CheckInvariants() error {
 	if failed != p.numFailed {
 		return fmt.Errorf("sram: failed-bank count %d, marks say %d", p.numFailed, failed)
 	}
-	if len(seen)+failed != p.cfg.NumBanks {
-		return fmt.Errorf("sram: %d banks accounted for (+%d retired), pool has %d", len(seen), failed, p.cfg.NumBanks)
+	if seen+failed != p.cfg.NumBanks {
+		return fmt.Errorf("sram: %d banks accounted for (+%d retired), pool has %d", seen, failed, p.cfg.NumBanks)
 	}
 	pinned := 0
 	// scmvet:ok determinism order-independent sum

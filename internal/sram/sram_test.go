@@ -2,6 +2,8 @@ package sram
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -478,4 +480,54 @@ func TestPoolObserver(t *testing.T) {
 		t.Error("detached observer still called")
 	}
 	mustCheck(t, p)
+}
+
+// TestCheckInvariantsReportsDoubleClaims corrupts a pool so that one
+// bank is claimed twice, every way it can be, and pins the error text
+// that names both claimants.
+func TestCheckInvariantsReportsDoubleClaims(t *testing.T) {
+	setup := func() (*Pool, *Buffer, *Buffer) {
+		p := newTestPool(t, 6, 1024)
+		a, err := p.Alloc(RoleOutput, "a", 2048)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := p.Alloc(RoleOutput, "b", 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustCheck(t, p)
+		return p, a, b
+	}
+	cases := []struct {
+		name    string
+		corrupt func(p *Pool, a, b *Buffer) int
+		want    string
+	}{
+		{"free twice", func(p *Pool, a, b *Buffer) int {
+			p.free = append(p.free, p.free[0])
+			return p.free[0]
+		}, "on free list and free list"},
+		{"free and owned", func(p *Pool, a, b *Buffer) int {
+			p.free = append(p.free, a.banks[0])
+			p.owner[a.banks[0]] = -1
+			return a.banks[0]
+		}, `owned by "a" and free list`},
+		// One buffer listing a bank twice: buffers are visited in map
+		// order, so two buffers sharing a bank would trip the owner
+		// check first or second depending on the order.
+		{"owned twice", func(p *Pool, a, b *Buffer) int {
+			b.banks = append(b.banks, b.banks[0])
+			return b.banks[0]
+		}, `owned by "b" and buffer "b"`},
+	}
+	for _, c := range cases {
+		p, a, b := setup()
+		bank := c.corrupt(p, a, b)
+		err := p.CheckInvariants()
+		want := fmt.Sprintf("bank %d %s", bank, c.want)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want it to contain %q", c.name, err, want)
+		}
+	}
 }
