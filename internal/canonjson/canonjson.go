@@ -15,9 +15,28 @@ package canonjson
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"io"
 	"math"
 )
+
+// AfterDocument reports what follows the document that dec has just
+// decoded. trailing is true when anything but whitespace does: a token,
+// or bytes that start none. err is a read error of the stream there,
+// such as an http.MaxBytesReader limit falling in trailing whitespace;
+// that is the stream's fault, not trailing data. Both are zero at a
+// clean end of input.
+func AfterDocument(dec *json.Decoder) (trailing bool, err error) {
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return false, nil
+	case err == nil, err == io.ErrUnexpectedEOF, errors.As(err, new(*json.SyntaxError)):
+		return true, nil
+	default:
+		return false, err
+	}
+}
 
 // Reader reads canonical-subset JSON from a byte slice. Its methods
 // read one value each at the current position; after a decline every

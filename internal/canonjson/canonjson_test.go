@@ -2,6 +2,7 @@ package canonjson
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"strconv"
@@ -165,6 +166,37 @@ func TestReplay(t *testing.T) {
 	}
 	if got, err := io.ReadAll(Replay(src, nil)); err != nil || !bytes.Equal(got, src) {
 		t.Errorf("Replay yields %d B then %v", len(got), err)
+	}
+}
+
+// TestAfterDocument: whitespace to the end is clean; a second value, a
+// stray byte or a cut-off literal is trailing data; a read error of the
+// stream after the document is that error, not trailing data.
+func TestAfterDocument(t *testing.T) {
+	boom := errors.New("boom")
+	for _, c := range []struct {
+		in       string
+		readErr  error
+		trailing bool
+		err      error
+	}{
+		{`{} `, nil, false, nil},
+		{`{}`, nil, false, nil},
+		{`{} {}`, nil, true, nil},
+		{`{} ]`, nil, true, nil},
+		{`{} x`, nil, true, nil},
+		{`{} tru`, nil, true, nil},
+		{"{} \n ", boom, false, boom},
+		{`{} ]`, boom, true, nil},
+	} {
+		dec := json.NewDecoder(Replay([]byte(c.in), c.readErr))
+		var v any
+		if err := dec.Decode(&v); err != nil {
+			t.Fatalf("%q: %v", c.in, err)
+		}
+		if trailing, err := AfterDocument(dec); trailing != c.trailing || err != c.err {
+			t.Errorf("%q then %v: trailing %t, err %v; want %t, %v", c.in, c.readErr, trailing, err, c.trailing, c.err)
+		}
 	}
 }
 

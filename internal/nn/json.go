@@ -189,13 +189,10 @@ func DecodeJSONReflect(r io.Reader) (*Network, error) {
 	if err := dec.Decode(&jn); err != nil {
 		return nil, fmt.Errorf("nn: decoding network json: %w", err)
 	}
-	// A read error after a whole document is the stream's fault, not
-	// trailing data; a token or a syntax error there is trailing data.
-	switch _, err := dec.Token(); {
-	case err == io.EOF:
-	case err == nil, err == io.ErrUnexpectedEOF, errors.As(err, new(*json.SyntaxError)):
+	switch trailing, err := canonjson.AfterDocument(dec); {
+	case trailing:
 		return nil, errors.New("nn: decoding network json: unexpected data after the JSON document")
-	default:
+	case err != nil:
 		return nil, fmt.Errorf("nn: reading network json: %w", err)
 	}
 	return build(&jn)
