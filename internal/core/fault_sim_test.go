@@ -263,7 +263,7 @@ func TestFailBankMigrationPaths(t *testing.T) {
 	if err := e.pool.Pin(buf); err != nil {
 		t.Fatal(err)
 	}
-	e.residents = []*resident{{producer: 0, total: buf.Bytes(), buf: buf, onChip: buf.Bytes()}}
+	e.residents = []resident{{total: buf.Bytes(), buf: buf, onChip: buf.Bytes(), live: true}}
 	l := layerRef{index: 0, name: "l"}
 
 	firstBank := buf.Banks()[0]

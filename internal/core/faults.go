@@ -195,8 +195,9 @@ func (e *executor) spillFailedBank(l layerRef, owner *sram.Buffer, bank int) err
 
 	// Shrink the resident that tracked this buffer so consumers fetch
 	// the spilled suffix from DRAM.
-	for p, r := range e.residents {
-		if r == nil || r.buf != owner {
+	for p := range e.residents {
+		r := &e.residents[p]
+		if r.buf != owner {
 			continue
 		}
 		r.onChip = newBytes

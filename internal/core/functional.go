@@ -126,8 +126,8 @@ func (f *funcState) computeGolden(e *executor, l *nn.Layer) error {
 func (f *funcState) verifyInputs(e *executor, l *nn.Layer, distinct []int32) error {
 	for _, q := range distinct {
 		p := int(q)
-		r := e.residents[p]
-		if r == nil {
+		r := &e.residents[p]
+		if !r.live {
 			return fmt.Errorf("functional: %s reads unproduced fmap %d", l.Name, p)
 		}
 		g := f.golden[p]

@@ -5,16 +5,19 @@ import "shortcutmining/internal/sram"
 // resident tracks where one produced feature map currently lives: the
 // on-chip portion (a logical buffer in the bank pool) and the spilled
 // portion (bytes in DRAM). The baseline keeps everything spilled; full
-// Shortcut Mining keeps everything on chip when capacity allows.
+// Shortcut Mining keeps everything on chip when capacity allows. A run
+// holds one resident per layer, indexed by the producing layer; live
+// marks the ones that record a feature map (the input image, and every
+// executed layer with consumers).
 type resident struct {
-	producer int
-	total    int64
-	buf      *sram.Buffer // nil when nothing is on chip
-	onChip   int64
-	spilled  int64 // bytes available in DRAM (capacity spills or full copies)
+	buf     *sram.Buffer // nil when nothing is on chip
+	total   int64
+	onChip  int64
+	spilled int64 // bytes available in DRAM (capacity spills or full copies)
 
-	consumersLeft int
-	lastUse       int
+	consumersLeft int32
+	lastUse       int32
+	live          bool
 }
 
 // dramBytes is the portion a consumer must fetch from DRAM.

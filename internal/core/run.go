@@ -113,7 +113,7 @@ func newRun(net *nn.Network, cfg Config, feat Features, rec trace.Recorder, reg 
 	e.net = net
 	e.feat = feat
 	e.cp = cp
-	e.residents = make([]*resident, len(net.Layers))
+	e.residents = make([]resident, len(net.Layers))
 	e.run = stats.RunStats{
 		Network:  net.Name,
 		Strategy: featureLabel(feat),
@@ -176,8 +176,8 @@ func (r *Run) MinBankDemand() int { return r.e.cfg.ReserveBanks + 1 }
 // Footprint reports the run's current bank-pool occupancy.
 func (r *Run) Footprint() Footprint {
 	var resident int64
-	for _, res := range r.e.residents {
-		if res != nil && res.buf != nil && !res.buf.Freed() {
+	for i := range r.e.residents {
+		if res := &r.e.residents[i]; res.buf != nil && !res.buf.Freed() {
 			resident += res.onChip
 		}
 	}
@@ -209,8 +209,9 @@ func (h Handoff) Total() int64 { return h.FmapBytes + h.ShortcutBytes }
 // that actually evacuates the state.
 func (r *Run) Handoff() Handoff {
 	var h Handoff
-	for _, res := range r.e.residents {
-		if res == nil || res.buf == nil || res.buf.Freed() {
+	for i := range r.e.residents {
+		res := &r.e.residents[i]
+		if res.buf == nil || res.buf.Freed() {
 			continue
 		}
 		if res.buf.Pinned() {
@@ -306,8 +307,9 @@ func (r *Run) Suspend() (Footprint, error) {
 	if r.next > 0 {
 		layer = r.e.net.Layers[r.next-1].Name
 	}
-	for p, res := range r.e.residents {
-		if res == nil || res.buf == nil || res.buf.Freed() {
+	for p := range r.e.residents {
+		res := &r.e.residents[p]
+		if res.buf == nil || res.buf.Freed() {
 			continue
 		}
 		buf := res.buf
@@ -375,7 +377,7 @@ func (r *Run) Resume() error {
 				return r.fail(err)
 			}
 		}
-		res := r.e.residents[s.producer]
+		res := &r.e.residents[s.producer]
 		res.buf = buf
 		if res.onChip > 0 {
 			moved := r.e.ch.WirePayload(dram.ClassSpillRead, res.onChip)

@@ -121,7 +121,8 @@ type executor struct {
 	decCycles        int64
 	layerCodecCycles int64
 
-	residents []*resident
+	residents []resident   // one per layer, indexed by producer
+	recycle   []recyclable // recyclables' scratch
 	run       stats.RunStats
 }
 
@@ -199,28 +200,29 @@ type recyclable struct {
 // layer may do the same with its input, provided the tiling makes a
 // single monotone pass (no output-channel grouping, which would
 // re-stream the input) and a window-sized margin survives.
+//
+// The returned slice is the executor's scratch, valid until the next
+// call.
 func (e *executor) recyclables(l *nn.Layer, distinct []int32, plan tiling.Plan) []recyclable {
 	finalPass := func(p int32) *resident {
-		r := e.residents[p]
+		r := &e.residents[p]
 		if r.consumersLeft == 1 && r.buf != nil && !r.buf.Freed() && !r.buf.Pinned() {
 			return r
 		}
 		return nil
 	}
+	out := e.recycle[:0]
 	switch {
 	case l.Kind == nn.OpEltwiseAdd && e.feat.IncrementalRecycle:
-		var out []recyclable
 		for _, p := range distinct {
 			if r := finalPass(p); r != nil {
 				out = append(out, recyclable{buf: r.buf})
 			}
 		}
-		return out
 	case (l.Kind == nn.OpConv || l.Kind == nn.OpPool) && e.feat.StreamingRecycle:
 		if plan.OutGroups != 1 || plan.InGroups != 1 {
 			return nil
 		}
-		var out []recyclable
 		for _, p := range distinct {
 			r := finalPass(p)
 			if r == nil {
@@ -237,9 +239,9 @@ func (e *executor) recyclables(l *nn.Layer, distinct []int32, plan tiling.Plan) 
 				out = append(out, recyclable{buf: r.buf, keep: keep})
 			}
 		}
-		return out
 	}
-	return nil
+	e.recycle = out
+	return out
 }
 
 // nextUseAfter returns the index of the first layer after i that reads
@@ -263,8 +265,9 @@ func (e *executor) nextUseAfter(p, i int) int {
 // layer are untouchable — they are being read right now.
 func (e *executor) evictOneBank(l *nn.Layer, distinct []int32, outNext int) (bool, error) {
 	best, bestNext := -1, outNext
-	for p, r := range e.residents {
-		if r == nil || r.buf == nil || r.buf.Freed() || !r.buf.Pinned() {
+	for p := range e.residents {
+		r := &e.residents[p]
+		if r.buf == nil || r.buf.Freed() || !r.buf.Pinned() {
 			continue
 		}
 		current := false
@@ -284,7 +287,7 @@ func (e *executor) evictOneBank(l *nn.Layer, distinct []int32, outNext int) (boo
 	if best < 0 {
 		return false, nil
 	}
-	r := e.residents[best]
+	r := &e.residents[best]
 	if err := e.pool.Unpin(r.buf); err != nil {
 		return false, err
 	}
@@ -401,11 +404,11 @@ func (e *executor) allocOutput(l *nn.Layer, want int64, recycle []recyclable, di
 // ahead and no on-chip home. Only leftover capacity beyond the
 // streaming reserve is used.
 func (e *executor) captureSpilled(l *nn.Layer, p int) error {
-	r := e.residents[p]
+	r := &e.residents[p]
 	// Capture only genuine fan-out (≥2 consumers ahead): holding banks
 	// for a single far consumer is the retention-pressure gamble the
 	// E15 policy study examines, not a clear win.
-	if r == nil || r.buf != nil || r.consumersLeft < 2 || r.onChip > 0 {
+	if r.buf != nil || r.consumersLeft < 2 || r.onChip > 0 {
 		return nil
 	}
 	budget := e.pool.FreeBytes() - int64(e.cfg.ReserveBanks)*e.bankBytes()
@@ -450,9 +453,9 @@ func (e *executor) execLayer(l *nn.Layer) error {
 
 	if l.Kind == nn.OpInput {
 		total := l.Out.Bytes(d)
-		e.residents[0] = &resident{
-			producer: 0, total: total, spilled: total,
-			consumersLeft: e.cp.Consumers(0), lastUse: e.cp.LastUse(0),
+		e.residents[0] = resident{
+			total: total, spilled: total, live: true,
+			consumersLeft: int32(e.cp.Consumers(0)), lastUse: int32(e.cp.LastUse(0)),
 		}
 		if e.fn != nil {
 			e.fn.produceInput(e, l)
@@ -495,7 +498,7 @@ func (e *executor) execLayer(l *nn.Layer) error {
 	// Operands at their final read are unpinned so the add can recycle
 	// their banks and the epilogue can free them.
 	for _, p := range distinct {
-		r := e.residents[p]
+		r := &e.residents[p]
 		if r.consumersLeft == 1 && r.buf != nil && r.buf.Pinned() {
 			if err := e.pool.Unpin(r.buf); err != nil {
 				return err
@@ -525,7 +528,7 @@ func (e *executor) execLayer(l *nn.Layer) error {
 	}
 	for _, q := range srcs {
 		p := int(q)
-		r := e.residents[p]
+		r := &e.residents[p]
 		ls.ReusedInputBytes += r.onChip
 		shortcut := l.Index-p > 1 && p != 0
 		if shortcut && r.onChip > 0 {
@@ -567,7 +570,8 @@ func (e *executor) execLayer(l *nn.Layer) error {
 	outBytes := l.Out.Bytes(d)
 	consumers := e.cp.Consumers(l.Index)
 	lastUse := e.cp.LastUse(l.Index)
-	out := &resident{producer: l.Index, total: outBytes, consumersLeft: consumers, lastUse: lastUse}
+	out := &e.residents[l.Index]
+	*out = resident{total: outBytes, consumersLeft: int32(consumers), lastUse: int32(lastUse)}
 
 	keep := e.feat.RoleSwitch && consumers > 0
 	fullCopy := !keep
@@ -637,16 +641,14 @@ func (e *executor) execLayer(l *nn.Layer) error {
 		e.record(trace.Event{Kind: trace.KindPin, Layer: l.Name, Tag: l.Name,
 			Banks: out.buf.NumBanks(), Bytes: out.onChip})
 	}
-	if consumers > 0 {
-		e.residents[l.Index] = out
-	}
+	out.live = consumers > 0
 	if e.fn != nil {
 		e.fn.placeOutput(e, l, out, fullCopy)
 	}
 
 	// Release consumed operands.
 	for _, p := range distinct {
-		r := e.residents[p]
+		r := &e.residents[p]
 		r.consumersLeft--
 		if r.consumersLeft == 0 || !e.feat.ShortcutRetention {
 			if r.buf != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -551,6 +552,34 @@ func TestCaptureFunctionallyCorrect(t *testing.T) {
 		cfg.WeightBufBytes = 1 << 20
 		if _, err := VerifyFunctional(net, cfg, SCM.Features(), 9); err != nil {
 			t.Fatalf("banks %d: %v", banks, err)
+		}
+	}
+}
+
+// TestRecyclablesReuseScratch: recyclables refills the executor's
+// scratch slice on every call, so it never carries an earlier layer's
+// operands into the next layer's recycling.
+func TestRecyclablesReuseScratch(t *testing.T) {
+	net := nn.MustBuild("resnet34")
+	r, err := NewRun(net, Default(), SCM, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := net.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	most := 0
+	for i := range net.Layers {
+		most = max(most, len(cp.Distinct(i)))
+	}
+	for done := false; !done; {
+		if done, err = r.Step(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(r.e.recycle); n > most {
+			t.Fatalf("after layer %d the scratch holds %d recyclables; no layer reads more than %d operands",
+				r.NextLayer()-1, n, most)
 		}
 	}
 }

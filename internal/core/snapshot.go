@@ -133,13 +133,14 @@ func (r *Run) Snapshot() (*RunSnapshot, error) {
 			Producer: s.producer, Role: s.role, Tag: s.tag, Banks: s.banks, Pinned: s.pinned,
 		})
 	}
-	for p, res := range r.e.residents {
-		if res == nil {
+	for p := range r.e.residents {
+		res := &r.e.residents[p]
+		if !res.live {
 			continue
 		}
 		snap.Residents = append(snap.Residents, ResidentSnapshot{
 			Producer: p, Total: res.total, OnChip: res.onChip, Spilled: res.spilled,
-			ConsumersLeft: res.consumersLeft, LastUse: res.lastUse,
+			ConsumersLeft: int(res.consumersLeft), LastUse: int(res.lastUse),
 		})
 	}
 	return snap, nil
@@ -252,9 +253,9 @@ func RestoreRun(net *nn.Network, cfg Config, snap *RunSnapshot) (*Run, error) {
 		return nil, fmt.Errorf("core: %s: cannot restore a snapshot under a fault-injecting config", net.Name)
 	}
 	for _, rs := range snap.Residents {
-		r.e.residents[rs.Producer] = &resident{
-			producer: rs.Producer, total: rs.Total, onChip: rs.OnChip, spilled: rs.Spilled,
-			consumersLeft: rs.ConsumersLeft, lastUse: rs.LastUse,
+		r.e.residents[rs.Producer] = resident{
+			total: rs.Total, onChip: rs.OnChip, spilled: rs.Spilled, live: true,
+			consumersLeft: int32(rs.ConsumersLeft), lastUse: int32(rs.LastUse),
 		}
 	}
 	for _, sb := range snap.Saved {

@@ -9,6 +9,7 @@ import (
 	"shortcutmining/internal/fault"
 	"shortcutmining/internal/metrics"
 	"shortcutmining/internal/nn"
+	"shortcutmining/internal/tensor"
 	"shortcutmining/internal/trace"
 )
 
@@ -83,6 +84,57 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 		if sc := r.Sched(); sc.Resumes == 0 {
 			t.Errorf("%s: restored run resumed nothing: %+v", strat, sc)
 		}
+	}
+}
+
+// TestSnapshotSkipsUnreadLayers: a layer whose output no later layer
+// reads leaves no resident record, so a snapshot lists only the input
+// image and the feature maps still to be read, and restoring it
+// finishes bit-identical to the uninterrupted run.
+func TestSnapshotSkipsUnreadLayers(t *testing.T) {
+	b := nn.NewBuilder("unread-branch", tensor.Shape{C: 16, H: 28, W: 28})
+	x := b.Conv("a", b.InputName(), 16, 3, 1, 1)
+	b.Conv("unread", x, 16, 3, 1, 1)
+	b.Conv("c", b.Conv("b", x, 16, 3, 1, 1), 16, 3, 1, 1)
+	net := b.MustFinish()
+	cfg := Default()
+	want, err := Simulate(net, cfg, SCM, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRun(net, cfg, SCM, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r.NextLayer() < 3 { // input, a, unread
+		if _, err := r.Step(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := r.Suspend(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := r.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var producers []int
+	for _, rs := range snap.Residents {
+		producers = append(producers, rs.Producer)
+	}
+	if len(producers) != 2 || producers[0] != 0 || producers[1] != 1 {
+		t.Errorf("snapshot residents for producers %v, want [0 1] (input and a, not unread)", producers)
+	}
+	r, err = RestoreRun(net, cfg, roundtrip(t, snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.complete(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := runJSON(t, got), runJSON(t, want); g != w {
+		t.Errorf("snapshot/restore changed RunStats\n got %s\nwant %s", g, w)
 	}
 }
 

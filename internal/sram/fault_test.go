@@ -230,7 +230,7 @@ func TestRetireBankCorruptFreeList(t *testing.T) {
 	for i := range p.owner {
 		onFree := false
 		for _, f := range p.free {
-			if f == i {
+			if int(f) == i {
 				onFree = true
 			}
 		}

@@ -15,9 +15,11 @@
 //   - partial (best-effort) allocation for graceful spilling when the
 //     pool is oversubscribed (P5).
 //
-// The pool never moves data: a logical buffer is an ordered set of
+// The pool never moves data: a logical buffer is an ordered list of
 // bank indices plus a byte count, and every operation preserves that
-// mapping. Conservation invariants are checked by CheckInvariants and
+// mapping. The lists are threaded through pool-wide per-bank link
+// arrays, so forming, growing, recycling and spilling a buffer never
+// allocates. Conservation invariants are checked by CheckInvariants and
 // exercised with property-based tests.
 package sram
 
@@ -107,19 +109,20 @@ func (c Config) Validate() error {
 
 // Buffer is a logical buffer: an ordered list of banks holding one
 // feature map (or a retained prefix of one). Buffers are created and
-// owned by a Pool; the zero value is not usable. A buffer owns its bank
-// slice exclusively — Banks returns a copy and Merge builds a fresh
-// one — so releasing and growing reslice it in place without
-// allocating.
+// owned by a Pool; the zero value is not usable. The list itself lives
+// in the pool's per-bank next/prev links; the buffer keeps only its
+// ends and its length, so moving a bank in or out relinks two entries
+// and Banks walks the list into a fresh copy.
 type Buffer struct {
-	pool   *Pool
-	id     int
-	role   Role
-	tag    string
-	banks  []int
-	bytes  int64 // valid payload bytes, ≤ capacity
-	pinned bool
-	freed  bool
+	pool       *Pool
+	role       Role
+	tag        string
+	bytes      int64 // valid payload bytes, ≤ capacity
+	id         int32
+	head, tail int32 // first and last bank in layout order, -1 when empty
+	n          int32 // banks on the list
+	pinned     bool
+	freed      bool
 
 	// Payload is an optional opaque value the functional-verification
 	// mode attaches to prove that role switches and retention preserve
@@ -129,7 +132,7 @@ type Buffer struct {
 }
 
 // ID returns the buffer's pool-unique identity.
-func (b *Buffer) ID() int { return b.id }
+func (b *Buffer) ID() int { return int(b.id) }
 
 // Role returns the buffer's current role.
 func (b *Buffer) Role() Role { return b.role }
@@ -140,17 +143,26 @@ func (b *Buffer) Tag() string { return b.tag }
 
 // Banks returns the buffer's bank indices in layout order. The slice
 // is a copy.
-func (b *Buffer) Banks() []int { return append([]int(nil), b.banks...) }
+func (b *Buffer) Banks() []int {
+	if b.n == 0 {
+		return nil
+	}
+	out := make([]int, 0, b.n)
+	for bank := b.head; bank >= 0 && len(out) < cap(out); bank = b.pool.next[bank] {
+		out = append(out, int(bank))
+	}
+	return out
+}
 
 // NumBanks returns how many banks the buffer currently occupies.
-func (b *Buffer) NumBanks() int { return len(b.banks) }
+func (b *Buffer) NumBanks() int { return int(b.n) }
 
 // Bytes returns the valid payload byte count.
 func (b *Buffer) Bytes() int64 { return b.bytes }
 
 // CapacityBytes returns the total capacity of the buffer's banks.
 func (b *Buffer) CapacityBytes() int64 {
-	return int64(len(b.banks)) * int64(b.pool.cfg.BankBytes)
+	return int64(b.n) * int64(b.pool.cfg.BankBytes)
 }
 
 // Pinned reports whether the buffer is pinned.
@@ -163,15 +175,17 @@ func (b *Buffer) Freed() bool { return b.freed }
 // schedulers are single-threaded per accelerator instance, matching
 // the single control FSM of the hardware.
 type Pool struct {
-	cfg       Config
-	owner     []int  // bank -> buffer id, or -1 when free
-	free      []int  // free bank indices, LIFO
-	failed    []bool // bank -> retired from service (fault injection)
-	numFailed int
-	buffers   map[int]*Buffer
-	nextID    int
-	pinned    int // banks owned by pinned buffers, kept incrementally
-	observer  func(usedBanks, pinnedBanks int)
+	cfg Config
+	// Four NumBanks-long views of one allocation. owner maps a bank to
+	// its buffer's id, ownerFree or ownerFailed; next and prev link each
+	// owned bank to its neighbours in its buffer's layout (-1 at the
+	// ends); free holds the free banks, popped LIFO.
+	owner, next, prev, free []int32
+	numFailed               int
+	buffers                 map[int32]*Buffer
+	nextID                  int32
+	pinned                  int // banks owned by pinned buffers, kept incrementally
+	observer                func(usedBanks, pinnedBanks int)
 
 	stats Stats
 }
@@ -192,22 +206,31 @@ type Stats struct {
 	PeakPinnedBanks int `json:"PeakPinnedBanks"`
 }
 
+// Owner marks of banks that no buffer holds.
+const (
+	ownerFree   = -1
+	ownerFailed = -2 // retired from service (fault injection)
+)
+
 // NewPool builds a pool; all banks start free.
 func NewPool(cfg Config) (*Pool, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	n := cfg.NumBanks
+	links := make([]int32, 4*n)
 	p := &Pool{
 		cfg:     cfg,
-		owner:   make([]int, cfg.NumBanks),
-		free:    make([]int, cfg.NumBanks),
-		failed:  make([]bool, cfg.NumBanks),
-		buffers: make(map[int]*Buffer),
+		owner:   links[:n:n],
+		next:    links[n : 2*n : 2*n],
+		prev:    links[2*n : 3*n : 3*n],
+		free:    links[3*n : 4*n : 4*n],
+		buffers: make(map[int32]*Buffer),
 	}
 	for i := range p.owner {
-		p.owner[i] = -1
+		p.owner[i] = ownerFree
 		// Pop order low→high keeps layouts deterministic for tests.
-		p.free[i] = cfg.NumBanks - 1 - i
+		p.free[i] = int32(n - 1 - i)
 	}
 	return p, nil
 }
@@ -230,7 +253,7 @@ func (p *Pool) InService() int { return p.cfg.NumBanks - p.numFailed }
 
 // IsFailed reports whether the bank has been retired from service.
 func (p *Pool) IsFailed(bank int) bool {
-	return bank >= 0 && bank < len(p.failed) && p.failed[bank]
+	return bank >= 0 && bank < len(p.owner) && p.owner[bank] == ownerFailed
 }
 
 // Owner returns the live buffer owning the bank, or nil when the bank
@@ -274,18 +297,67 @@ func (p *Pool) Buffers() []*Buffer {
 }
 
 // pop takes the most recently freed bank off the free list.
-func (p *Pool) pop() int {
+func (p *Pool) pop() int32 {
 	bank := p.free[len(p.free)-1]
 	p.free = p.free[:len(p.free)-1]
 	return bank
 }
 
-func (p *Pool) grab(n int) []int {
-	banks := make([]int, n)
-	for i := range banks {
-		banks[i] = p.pop()
+// join links bank after behind bank before on b's list; -1 on either
+// side stands for the list's end.
+func (p *Pool) join(b *Buffer, before, after int32) {
+	if before >= 0 {
+		p.next[before] = after
+	} else {
+		b.head = after
 	}
-	return banks
+	if after >= 0 {
+		p.prev[after] = before
+	} else {
+		b.tail = before
+	}
+}
+
+// appendBank links a bank onto the buffer's tail.
+func (p *Pool) appendBank(b *Buffer, bank int32) {
+	p.owner[bank] = b.id
+	p.join(b, b.tail, bank)
+	p.join(b, bank, -1)
+	b.n++
+}
+
+// newBuffer registers an empty buffer under the next id.
+func (p *Pool) newBuffer(role Role, tag string, bytes int64) *Buffer {
+	b := &Buffer{pool: p, id: p.nextID, role: role, tag: tag, bytes: bytes, head: -1, tail: -1}
+	p.nextID++
+	p.buffers[b.id] = b
+	return b
+}
+
+// cut returns n banks of b's list, from first on, to the free list in
+// layout order and joins the banks on either side of them.
+func (p *Pool) cut(b *Buffer, first int32, n int) {
+	if n == 0 {
+		return
+	}
+	before, bank := p.prev[first], first
+	for range n {
+		next := p.next[bank]
+		p.owner[bank] = ownerFree
+		p.free = append(p.free, bank)
+		bank = next
+	}
+	p.join(b, before, bank)
+	b.n -= int32(n)
+}
+
+// unregister marks an emptied buffer freed.
+func (p *Pool) unregister(b *Buffer) {
+	b.head, b.tail, b.n = -1, -1, 0
+	b.bytes = 0
+	b.freed = true
+	b.Payload = nil
+	delete(p.buffers, b.id)
 }
 
 // SetObserver installs a callback fired whenever occupancy may have
@@ -320,12 +392,10 @@ func (p *Pool) Alloc(role Role, tag string, bytes int64) (*Buffer, error) {
 	if need > len(p.free) {
 		return nil, fmt.Errorf("%w: need %d banks for %q, have %d", ErrInsufficient, need, tag, len(p.free))
 	}
-	b := &Buffer{pool: p, id: p.nextID, role: role, tag: tag, banks: p.grab(need), bytes: bytes}
-	p.nextID++
-	for _, bank := range b.banks {
-		p.owner[bank] = b.id
+	b := p.newBuffer(role, tag, bytes)
+	for range need {
+		p.appendBank(b, p.pop())
 	}
-	p.buffers[b.id] = b
 	p.stats.Allocs++
 	p.noteUsage()
 	return b, nil
@@ -353,12 +423,10 @@ func (p *Pool) AllocUpTo(role Role, tag string, bytes int64) (*Buffer, int64) {
 	if got > bytes {
 		got = bytes
 	}
-	b := &Buffer{pool: p, id: p.nextID, role: role, tag: tag, banks: p.grab(n), bytes: got}
-	p.nextID++
-	for _, bank := range b.banks {
-		p.owner[bank] = b.id
+	b := p.newBuffer(role, tag, got)
+	for range n {
+		p.appendBank(b, p.pop())
 	}
-	p.buffers[b.id] = b
 	p.stats.Allocs++
 	if partial {
 		p.stats.PartialAllocs++
@@ -377,17 +445,16 @@ func (p *Pool) RetireBank(bank int) error {
 	if bank < 0 || bank >= p.cfg.NumBanks {
 		return fmt.Errorf("sram: retire out-of-range bank %d", bank)
 	}
-	if p.failed[bank] {
+	switch own := p.owner[bank]; {
+	case own == ownerFailed:
 		return fmt.Errorf("%w: bank %d", ErrBankFailed, bank)
-	}
-	if p.owner[bank] != -1 {
-		b := p.buffers[p.owner[bank]]
-		return fmt.Errorf("%w: bank %d holds %q", ErrBankOwned, bank, b.tag)
+	case own != ownerFree:
+		return fmt.Errorf("%w: bank %d holds %q", ErrBankOwned, bank, p.buffers[own].tag)
 	}
 	for i, f := range p.free {
-		if f == bank {
+		if int(f) == bank {
 			p.free = append(p.free[:i], p.free[i+1:]...)
-			p.failed[bank] = true
+			p.owner[bank] = ownerFailed
 			p.numFailed++
 			p.stats.BanksFailed++
 			return nil
@@ -410,21 +477,15 @@ func (p *Pool) RelocateBank(b *Buffer, bank int) error {
 	if len(p.free) == 0 {
 		return fmt.Errorf("%w: no spare bank to relocate bank %d of %q", ErrInsufficient, bank, b.tag)
 	}
-	pos := -1
-	for i, own := range b.banks {
-		if own == bank {
-			pos = i
-			break
-		}
-	}
-	if pos < 0 {
+	if bank < 0 || bank >= len(p.owner) || p.owner[bank] != b.id {
 		return fmt.Errorf("sram: bank %d not owned by %q", bank, b.tag)
 	}
 	spare := p.pop()
-	b.banks[pos] = spare
 	p.owner[spare] = b.id
-	p.owner[bank] = -1
-	p.failed[bank] = true
+	after := p.next[bank]
+	p.join(b, p.prev[bank], spare)
+	p.join(b, spare, after)
+	p.owner[bank] = ownerFailed
 	p.numFailed++
 	p.stats.BanksFailed++
 	p.stats.Relocations++
@@ -443,15 +504,8 @@ func (p *Pool) Free(b *Buffer) error {
 	if b.pinned {
 		return fmt.Errorf("%w: cannot free %q", ErrPinned, b.tag)
 	}
-	for _, bank := range b.banks {
-		p.owner[bank] = -1
-		p.free = append(p.free, bank)
-	}
-	b.banks = nil
-	b.bytes = 0
-	b.freed = true
-	b.Payload = nil
-	delete(p.buffers, b.id)
+	p.cut(b, b.head, int(b.n))
+	p.unregister(b)
 	p.stats.Frees++
 	p.noteUsage()
 	return nil
@@ -488,7 +542,7 @@ func (p *Pool) Pin(b *Buffer) error {
 	}
 	if !b.pinned {
 		b.pinned = true
-		p.pinned += len(b.banks)
+		p.pinned += int(b.n)
 		p.stats.Pins++
 		p.noteUsage()
 	}
@@ -502,7 +556,7 @@ func (p *Pool) Unpin(b *Buffer) error {
 	}
 	if b.pinned {
 		b.pinned = false
-		p.pinned -= len(b.banks)
+		p.pinned -= int(b.n)
 		p.noteUsage()
 	}
 	return nil
@@ -521,14 +575,10 @@ func (p *Pool) ReleaseBanks(b *Buffer, n int) error {
 	if b.pinned {
 		return fmt.Errorf("%w: cannot release banks of %q", ErrPinned, b.tag)
 	}
-	if n < 0 || n > len(b.banks) {
-		return fmt.Errorf("sram: release %d of %d banks of %q", n, len(b.banks), b.tag)
+	if n < 0 || n > int(b.n) {
+		return fmt.Errorf("sram: release %d of %d banks of %q", n, b.n, b.tag)
 	}
-	for _, bank := range b.banks[:n] {
-		p.owner[bank] = -1
-		p.free = append(p.free, bank)
-	}
-	b.banks = b.banks[n:]
+	p.cut(b, b.head, n)
 	released := int64(n) * int64(p.cfg.BankBytes)
 	if b.bytes > released {
 		b.bytes -= released
@@ -536,10 +586,8 @@ func (p *Pool) ReleaseBanks(b *Buffer, n int) error {
 		b.bytes = 0
 	}
 	p.stats.BanksRecycled += int64(n)
-	if len(b.banks) == 0 {
-		b.freed = true
-		b.Payload = nil
-		delete(p.buffers, b.id)
+	if b.n == 0 {
+		p.unregister(b)
 		p.stats.Frees++
 	}
 	return nil
@@ -556,23 +604,20 @@ func (p *Pool) ReleaseTailBanks(b *Buffer, n int) error {
 	if b.pinned {
 		return fmt.Errorf("%w: cannot release banks of %q", ErrPinned, b.tag)
 	}
-	if n < 0 || n > len(b.banks) {
-		return fmt.Errorf("sram: release %d of %d tail banks of %q", n, len(b.banks), b.tag)
+	if n < 0 || n > int(b.n) {
+		return fmt.Errorf("sram: release %d of %d tail banks of %q", n, b.n, b.tag)
 	}
-	keep := len(b.banks) - n
-	for _, bank := range b.banks[keep:] {
-		p.owner[bank] = -1
-		p.free = append(p.free, bank)
+	first := b.tail
+	for range n - 1 {
+		first = p.prev[first]
 	}
-	b.banks = b.banks[:keep]
+	p.cut(b, first, n)
 	if c := b.CapacityBytes(); b.bytes > c {
 		b.bytes = c
 	}
 	p.stats.BanksEvicted += int64(n)
-	if len(b.banks) == 0 {
-		b.freed = true
-		b.Payload = nil
-		delete(p.buffers, b.id)
+	if b.n == 0 {
+		p.unregister(b)
 		p.stats.Frees++
 	}
 	return nil
@@ -601,9 +646,7 @@ func (p *Pool) Grow(b *Buffer, bytes int64) (int64, error) {
 		bytes -= spare
 	}
 	for bytes > 0 && len(p.free) > 0 {
-		bank := p.pop()
-		p.owner[bank] = b.id
-		b.banks = append(b.banks, bank)
+		p.appendBank(b, p.pop())
 		if b.pinned {
 			p.pinned++
 		}
@@ -639,21 +682,16 @@ func (p *Pool) Merge(role Role, tag string, bufs ...*Buffer) (*Buffer, error) {
 			return nil, fmt.Errorf("%w: merge source %q", ErrPinned, b.tag)
 		}
 	}
-	m := &Buffer{pool: p, id: p.nextID, role: role, tag: tag}
-	p.nextID++
+	m := p.newBuffer(role, tag, 0)
 	for _, b := range bufs {
-		m.banks = append(m.banks, b.banks...)
-		m.bytes += b.bytes
-		for _, bank := range b.banks {
-			p.owner[bank] = m.id
+		for bank := b.head; bank >= 0; {
+			next := p.next[bank]
+			p.appendBank(m, bank)
+			bank = next
 		}
-		b.banks = nil
-		b.bytes = 0
-		b.freed = true
-		b.Payload = nil
-		delete(p.buffers, b.id)
+		m.bytes += b.bytes
+		p.unregister(b)
 	}
-	p.buffers[m.id] = m
 	p.stats.Allocs++
 	p.noteUsage()
 	return m, nil
@@ -662,21 +700,25 @@ func (p *Pool) Merge(role Role, tag string, bufs ...*Buffer) (*Buffer, error) {
 // CheckInvariants verifies bank conservation: every bank is either on
 // the free list, owned by exactly one live buffer, or retired from
 // service; free-list entries are unique; retired banks are never owned
-// or free; and every buffer's payload fits its banks.
+// or free; every buffer's list is well linked (each bank's prev is the
+// bank before it, the list runs from head to tail and holds as many
+// banks as the buffer counts); and every buffer's payload fits its
+// banks. Each step of a list walk claims a bank not seen before or
+// returns an error, so a corrupted list that loops cannot hang it.
 func (p *Pool) CheckInvariants() error {
 	// mark[bank] is 0 while unseen, markFree on the free list, and
 	// buffer id + 1 when owned; who names a mark only for an error.
 	const markFree = -1
-	mark := make([]int, p.cfg.NumBanks)
+	mark := make([]int32, p.cfg.NumBanks)
 	seen := 0
-	who := func(m int) string {
+	who := func(m int32) string {
 		if m == markFree {
 			return "free list"
 		}
 		return fmt.Sprintf("buffer %q", p.buffers[m-1].tag)
 	}
 	for _, bank := range p.free {
-		if bank < 0 || bank >= p.cfg.NumBanks {
+		if bank < 0 || int(bank) >= p.cfg.NumBanks {
 			return fmt.Errorf("sram: free list has out-of-range bank %d", bank)
 		}
 		if m := mark[bank]; m != 0 {
@@ -684,11 +726,11 @@ func (p *Pool) CheckInvariants() error {
 		}
 		mark[bank] = markFree
 		seen++
-		if p.owner[bank] != -1 {
-			return fmt.Errorf("sram: free bank %d has owner %d", bank, p.owner[bank])
-		}
-		if p.failed[bank] {
+		if p.owner[bank] == ownerFailed {
 			return fmt.Errorf("sram: retired bank %d on free list", bank)
+		}
+		if p.owner[bank] != ownerFree {
+			return fmt.Errorf("sram: free bank %d has owner %d", bank, p.owner[bank])
 		}
 	}
 	// scmvet:ok determinism invariant scan; only the first error of an already-corrupt pool can vary
@@ -699,8 +741,9 @@ func (p *Pool) CheckInvariants() error {
 		if b.id != id {
 			return fmt.Errorf("sram: buffer id mismatch %d vs %d", b.id, id)
 		}
-		for _, bank := range b.banks {
-			if bank < 0 || bank >= p.cfg.NumBanks {
+		last, n := int32(-1), int32(0)
+		for bank := b.head; bank != -1; bank = p.next[bank] {
+			if bank < 0 || int(bank) >= p.cfg.NumBanks {
 				return fmt.Errorf("sram: buffer %q has out-of-range bank %d", b.tag, bank)
 			}
 			if m := mark[bank]; m != 0 {
@@ -711,9 +754,17 @@ func (p *Pool) CheckInvariants() error {
 			if p.owner[bank] != b.id {
 				return fmt.Errorf("sram: bank %d owner map says %d, buffer is %d", bank, p.owner[bank], b.id)
 			}
-			if p.failed[bank] {
-				return fmt.Errorf("sram: retired bank %d owned by %q", bank, b.tag)
+			if p.prev[bank] != last {
+				return fmt.Errorf("sram: bank %d of %q links back to %d, not %d", bank, b.tag, p.prev[bank], last)
 			}
+			last = bank
+			n++
+		}
+		if last != b.tail {
+			return fmt.Errorf("sram: buffer %q ends at bank %d, its tail is %d", b.tag, last, b.tail)
+		}
+		if n != b.n {
+			return fmt.Errorf("sram: buffer %q lists %d banks, counts %d", b.tag, n, b.n)
 		}
 		if b.bytes > b.CapacityBytes() {
 			return fmt.Errorf("sram: buffer %q payload %d exceeds capacity %d", b.tag, b.bytes, b.CapacityBytes())
@@ -723,8 +774,8 @@ func (p *Pool) CheckInvariants() error {
 		}
 	}
 	failed := 0
-	for _, f := range p.failed {
-		if f {
+	for _, own := range p.owner {
+		if own == ownerFailed {
 			failed++
 		}
 	}
@@ -738,7 +789,7 @@ func (p *Pool) CheckInvariants() error {
 	// scmvet:ok determinism order-independent sum
 	for _, b := range p.buffers {
 		if b.pinned {
-			pinned += len(b.banks)
+			pinned += int(b.n)
 		}
 	}
 	if pinned != p.pinned {

@@ -28,10 +28,10 @@ const (
 )
 
 // applyOps replays a random operation tape against a fresh pool and
-// checks invariants after every step. Buffers reslice their bank lists
-// in place, so every step also checks for aliasing: Banks() copies taken
-// before the step must not change, and buffers the step does not touch
-// must keep their layout. It returns an error describing the first
+// checks invariants after every step. Every buffer's layout lives in
+// the pool's shared link arrays, so every step also checks for
+// aliasing: Banks() copies taken before the step must not change, and
+// buffers the step does not touch must keep their layout. It returns an error describing the first
 // violation.
 func applyOps(numBanks, bankBytes int, tape []byte) error {
 	p, err := NewPool(Config{NumBanks: numBanks, BankBytes: bankBytes})

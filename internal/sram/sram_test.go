@@ -484,50 +484,72 @@ func TestPoolObserver(t *testing.T) {
 
 // TestCheckInvariantsReportsDoubleClaims corrupts a pool so that one
 // bank is claimed twice, every way it can be, and pins the error text
-// that names both claimants.
+// that names both claimants. It also breaks each part of a buffer's
+// list (a back-link, the tail, the count) and closes a list into a
+// loop, which must be reported, not walked forever.
 func TestCheckInvariantsReportsDoubleClaims(t *testing.T) {
 	setup := func() (*Pool, *Buffer, *Buffer) {
 		p := newTestPool(t, 6, 1024)
-		a, err := p.Alloc(RoleOutput, "a", 2048)
+		a, err := p.Alloc(RoleOutput, "a", 2048) // banks 0, 1
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := p.Alloc(RoleOutput, "b", 1024)
+		b, err := p.Alloc(RoleOutput, "b", 1024) // bank 2
 		if err != nil {
 			t.Fatal(err)
 		}
 		mustCheck(t, p)
 		return p, a, b
 	}
+	// Each corruption returns the text the error must contain.
 	cases := []struct {
 		name    string
-		corrupt func(p *Pool, a, b *Buffer) int
-		want    string
+		corrupt func(p *Pool, a, b *Buffer) string
 	}{
-		{"free twice", func(p *Pool, a, b *Buffer) int {
+		{"free twice", func(p *Pool, a, b *Buffer) string {
 			p.free = append(p.free, p.free[0])
-			return p.free[0]
-		}, "on free list and free list"},
-		{"free and owned", func(p *Pool, a, b *Buffer) int {
-			p.free = append(p.free, a.banks[0])
-			p.owner[a.banks[0]] = -1
-			return a.banks[0]
-		}, `owned by "a" and free list`},
-		// One buffer listing a bank twice: buffers are visited in map
-		// order, so two buffers sharing a bank would trip the owner
-		// check first or second depending on the order.
-		{"owned twice", func(p *Pool, a, b *Buffer) int {
-			b.banks = append(b.banks, b.banks[0])
-			return b.banks[0]
-		}, `owned by "b" and buffer "b"`},
+			return fmt.Sprintf("bank %d on free list and free list", p.free[0])
+		}},
+		{"free and owned", func(p *Pool, a, b *Buffer) string {
+			p.free = append(p.free, a.head)
+			p.owner[a.head] = ownerFree
+			return fmt.Sprintf(`bank %d owned by "a" and free list`, a.head)
+		}},
+		// A list reaches one bank twice only by looping back on itself:
+		// here b's single bank links to itself. Two buffers sharing a
+		// bank would trip the owner check first or second depending on
+		// the map order the buffers are visited in.
+		{"owned twice", func(p *Pool, a, b *Buffer) string {
+			p.next[b.tail] = b.head
+			return fmt.Sprintf(`bank %d owned by "b" and buffer "b"`, b.head)
+		}},
+		{"cycle", func(p *Pool, a, b *Buffer) string {
+			p.next[a.tail] = a.head
+			return fmt.Sprintf(`bank %d owned by "a" and buffer "a"`, a.head)
+		}},
+		{"broken back-link", func(p *Pool, a, b *Buffer) string {
+			p.prev[a.tail] = -1
+			return fmt.Sprintf(`bank %d of "a" links back to -1, not %d`, a.tail, a.head)
+		}},
+		{"tail short of the list's end", func(p *Pool, a, b *Buffer) string {
+			a.tail = a.head
+			return fmt.Sprintf(`buffer "a" ends at bank 1, its tail is %d`, a.head)
+		}},
+		{"count off", func(p *Pool, a, b *Buffer) string {
+			a.n++
+			return `buffer "a" lists 2 banks, counts 3`
+		}},
 	}
 	for _, c := range cases {
 		p, a, b := setup()
-		bank := c.corrupt(p, a, b)
+		want := c.corrupt(p, a, b)
 		err := p.CheckInvariants()
-		want := fmt.Sprintf("bank %d %s", bank, c.want)
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: error %v, want it to contain %q", c.name, err, want)
+		}
+		// Banks walks at most the buffer's count, loop or not.
+		if got := a.Banks(); len(got) > a.NumBanks() {
+			t.Errorf("%s: Banks() = %v for a %d-bank buffer", c.name, got, a.NumBanks())
 		}
 	}
 }
