@@ -234,12 +234,13 @@ func (o *observer) miss(proc string) {
 	}
 }
 
-// layerDone records the per-layer channel-utilization sample.
-func (o *observer) layerDone(ls stats.LayerStats) {
-	if o == nil || ls.Cycles <= 0 {
+// layerDone records the per-layer channel-utilization sample from a
+// closed layer's memory and total cycles.
+func (o *observer) layerDone(memCycles, cycles int64) {
+	if o == nil || cycles <= 0 {
 		return
 	}
-	o.util.Observe(float64(ls.MemCycles) / float64(ls.Cycles))
+	o.util.Observe(float64(memCycles) / float64(cycles))
 }
 
 // finishRun records the per-layer cycle attribution (batch-scaled so

@@ -706,7 +706,7 @@ func (e *executor) execLayer(l *nn.Layer) error {
 	}
 	ls.SRAMBytes = 2 * (inTotal + outBytes + plan.WeightReadBytes)
 	e.run.Layers = append(e.run.Layers, ls)
-	e.obs.layerDone(ls)
+	e.obs.layerDone(ls.MemCycles, ls.Cycles)
 	if e.rec != nil {
 		e.recordSpan(trace.Event{Kind: trace.KindLayerEnd, Layer: l.Name, Bytes: delta.Total(),
 			Banks: e.pool.UsedBanks(), Pinned: e.pool.PinnedBanks(),
@@ -760,7 +760,8 @@ func (e *executor) finish() (stats.RunStats, error) {
 		}
 		r.Traffic[c] *= batch // scmvet:ok accounting batch replication of per-image traffic (layer loop simulates one image)
 	}
-	for _, ls := range r.Layers {
+	for i := range r.Layers {
+		ls := &r.Layers[i]
 		r.ComputeCycles += ls.ComputeCycles * batch
 		r.MemCycles += ls.MemCycles * batch
 		r.TotalCycles += ls.Cycles * batch
