@@ -67,10 +67,9 @@ type Options struct {
 	// MaxJobs bounds the finished-job history kept for GET /v1/jobs;
 	// <= 0 means 1024.
 	MaxJobs int
-	// JobPrefix namespaces this engine's job IDs ("" means "j", the
-	// single-instance default). A sharded deployment gives every shard
-	// its own prefix ("s0-j", "s1-j", …) so IDs stay globally unique and
-	// a job lookup can be routed back to the shard that owns it.
+	// JobPrefix namespaces this engine's job IDs ("" means "j", as in
+	// "j000001"). Recovery resumes the counter after whatever prefix
+	// the journal's IDs carry.
 	JobPrefix string
 	// JobTTL evicts terminal jobs from the history this long after they
 	// finish (measured on Clock); 0 keeps them until MaxJobs pushes

@@ -136,11 +136,7 @@ type errorReply struct {
 // request-level trace span.
 func NewHandler(e *Engine) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/simulate", func(w http.ResponseWriter, r *http.Request) {
-		if body, req, ok := parseSimulate(w, r); ok {
-			serveSimulate(e, w, r, body, req)
-		}
-	})
+	mux.HandleFunc("POST /v1/simulate", func(w http.ResponseWriter, r *http.Request) { handleSimulate(e, w, r) })
 	for _, k := range []*jobKind{sweepKind, scheduleKind, clusterKind} {
 		mux.HandleFunc("POST /v1/"+k.name, func(w http.ResponseWriter, r *http.Request) { handleAsync(e, k, w, r) })
 	}
@@ -306,18 +302,6 @@ func parseStrategy(name string) (core.Strategy, error) {
 	return core.ParseStrategy(name)
 }
 
-// parseSimulate decodes and validates a POST /v1/simulate document into
-// an executable Request. On failure the error response has been written
-// and ok is false.
-func parseSimulate(w http.ResponseWriter, r *http.Request) (simulateBody, Request, bool) {
-	body, req, err := decodeSimulate(http.MaxBytesReader(w, r.Body, maxBodyBytes), RequestIDFrom(r.Context()))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return body, req, false
-	}
-	return body, req, true
-}
-
 // decodeSimulate decodes a simulate document into its Request. It
 // reads the body once; a document in canonjson's subset is decoded in
 // that one pass, its graph built in place, and any other goes through
@@ -417,23 +401,26 @@ func (body simulateBody) request(reqID string) (Request, error) {
 	return Request{Net: net, Cfg: cfg, Strategy: strategy, Observe: body.Observe, RequestID: reqID, zoo: body.Network}, nil
 }
 
-// serveSimulate executes a parsed simulate request on e and writes the
-// response. It reports whether the reply came from e's result cache
-// (always false for async, traced, and failed requests) so a sharding
-// front can count forwarded cache hits.
-func serveSimulate(e *Engine, w http.ResponseWriter, r *http.Request, body simulateBody, req Request) bool {
+// handleSimulate serves POST /v1/simulate on e: it decodes the
+// document, then runs it synchronously or submits it as a job.
+func handleSimulate(e *Engine, w http.ResponseWriter, r *http.Request) {
+	body, req, err := decodeSimulate(http.MaxBytesReader(w, r.Body, maxBodyBytes), RequestIDFrom(r.Context()))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	if body.Async {
 		if body.Trace {
 			writeError(w, http.StatusBadRequest, errors.New("trace is synchronous-only; drop async or trace"))
-			return false
+			return
 		}
 		req, err := req.built() // the journaled payload embeds the graph
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
-			return false
+			return
 		}
 		acceptJob(w, e, simulateKind, req, req.RequestID)
-		return false
+		return
 	}
 
 	timeout := DefaultRequestTimeout
@@ -446,18 +433,17 @@ func serveSimulate(e *Engine, w http.ResponseWriter, r *http.Request, body simul
 		res, events, err := e.SimulateTraced(ctx, req)
 		if err != nil {
 			writeError(w, statusFor(err), err)
-			return false
+			return
 		}
 		writeJSON(w, http.StatusOK, simulateReply{RequestID: req.RequestID, Stats: &res, Trace: events})
-		return false
+		return
 	}
 	res, cached, err := e.Simulate(ctx, req)
 	if err != nil {
 		writeError(w, statusFor(err), err)
-		return false
+		return
 	}
 	writeSimulateReply(w, cached, req.RequestID, &res)
-	return cached
 }
 
 // handleAsync serves the job-submitting route of kind k: the body

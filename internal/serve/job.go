@@ -59,8 +59,8 @@ type Job struct {
 	done chan struct{}
 }
 
-// jobPrefix returns the engine's job-ID namespace ("j" unless the
-// deployment configured a shard prefix).
+// jobPrefix returns the engine's job-ID namespace ("j" unless
+// Options.JobPrefix sets one).
 func (e *Engine) jobPrefix() string {
 	if e.opts.JobPrefix != "" {
 		return e.opts.JobPrefix
