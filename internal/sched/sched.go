@@ -62,7 +62,7 @@ func Run(cfg core.Config, spec *Spec, reg *metrics.Registry) (*Result, error) {
 func RunContext(ctx context.Context, cfg core.Config, spec *Spec, reg *metrics.Registry) (*Result, error) {
 	if spec != nil && spec.Chips > 1 {
 		// Sharded scenarios are reported per chip and per link —
-		// cluster.Result's view (scm-cluster / POST /v1/cluster).
+		// cluster.Result's view (scm-sched with chips>1, POST /v1/cluster).
 		return nil, fmt.Errorf("sched: spec requests chips=%d; multi-chip scenarios run through the cluster package", spec.Chips)
 	}
 	l, err := Execute(ctx, cfg, spec, nil)
