@@ -317,15 +317,7 @@ func TestFailBankMigrationPaths(t *testing.T) {
 func TestFaultMetricsAndTrace(t *testing.T) {
 	net := nn.MustBuild("resnet18")
 	cfg := Default()
-	cfg.Faults = &fault.Spec{
-		Seed:     7,
-		DropProb: 0.05,
-		Events: []fault.Event{
-			{Kind: fault.BankFail, Layer: 2, Count: 4},
-			{Kind: fault.BankTransient, Layer: 3, Count: 2},
-			{Kind: fault.BandwidthDegrade, Layer: 5, Factor: 0.75},
-		},
-	}
+	cfg.Faults = faultMetricsSpec()
 	reg := metrics.New()
 	var buf trace.Buffer
 	run, err := SimulateObservedContext(context.Background(), net, cfg, SCM, &buf, reg)
