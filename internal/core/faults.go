@@ -34,8 +34,7 @@ func (e *executor) applyFaults(l layerRef) error {
 	prevFactor := e.inj.Factor()
 	events := e.inj.ApplyLayer(l.index)
 	if f := e.inj.Factor(); f != prevFactor {
-		e.obs.fault(FaultBWDegrade, 1)
-		e.obs.bandwidthFactor(f)
+		e.obs.factorChanged()
 		e.record(trace.Event{Kind: trace.KindFault, Layer: l.name,
 			Note: fmt.Sprintf("bw-degrade factor=%g", f)})
 	}
@@ -50,7 +49,6 @@ func (e *executor) applyFaults(l layerRef) error {
 			scrub := n * e.bankCopyCycles()
 			e.flt.MigrationCycles += scrub
 			e.layerFaultCycles += scrub
-			e.obs.fault(FaultBankTransient, n)
 			e.record(trace.Event{Kind: trace.KindFault, Layer: l.name,
 				Banks: int(n), Note: "bank-transient (scrubbed)"})
 		case fault.BankFail:
@@ -105,7 +103,6 @@ func (e *executor) pickVictims(n int) []int {
 // failBank retires one bank, migrating its contents first when owned.
 func (e *executor) failBank(l layerRef, bank int) error {
 	e.flt.BankFailures++
-	e.obs.fault(FaultBankFail, 1)
 	owner := e.pool.Owner(bank)
 	if owner == nil {
 		if err := e.pool.RetireBank(bank); err != nil {
@@ -114,7 +111,6 @@ func (e *executor) failBank(l layerRef, bank int) error {
 		}
 		e.record(trace.Event{Kind: trace.KindFault, Layer: l.name, Banks: 1,
 			Note: fmt.Sprintf("bank-fail bank=%d (free)", bank)})
-		e.obs.poolFailed(e.pool.FailedBanks())
 		return nil
 	}
 	if e.pool.FreeBanks() > 0 {
@@ -126,8 +122,6 @@ func (e *executor) failBank(l layerRef, bank int) error {
 		e.flt.Relocations++
 		e.flt.MigrationCycles += cost
 		e.layerFaultCycles += cost
-		e.obs.relocated()
-		e.obs.poolFailed(e.pool.FailedBanks())
 		e.record(trace.Event{Kind: trace.KindRelocate, Layer: l.name, Tag: owner.Tag(),
 			Banks: 1, Note: fmt.Sprintf("bank-fail bank=%d -> spare", bank)})
 		return nil
@@ -184,12 +178,10 @@ func (e *executor) spillFailedBank(l layerRef, owner *sram.Buffer, bank int) err
 			return err
 		}
 		e.flt.FaultSpillBytes += delta
-		e.obs.faultSpilled(delta)
 		e.recordSpan(trace.Event{Kind: trace.KindSpill, Layer: l.name, Tag: owner.Tag(),
 			Class: dram.ClassSpillWrite.String(), Bytes: delta,
 			Note: fmt.Sprintf("bank-fail bank=%d no spare", bank)}, start, dur)
 	}
-	e.obs.poolFailed(e.pool.FailedBanks())
 	e.record(trace.Event{Kind: trace.KindFault, Layer: l.name, Banks: 1,
 		Note: fmt.Sprintf("bank-fail bank=%d (spilled %d B)", bank, delta)})
 
@@ -236,7 +228,6 @@ func (e *executor) retryLoop(c dram.Class, payload, moved, dur int64) error {
 		e.flt.DMARetryCycles += cost
 		e.flt.RetryBytes += e.ch.RecordRetry(c, payload)
 		e.layerFaultCycles += cost
-		e.obs.retry(cost)
 		e.recordSpan(trace.Event{Kind: trace.KindRetry, Layer: e.curLayer,
 			Class: c.String(), Bytes: moved,
 			Note: fmt.Sprintf("attempt %d backoff %d", attempts, backoff)}, e.memCursor, cost)

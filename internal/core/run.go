@@ -108,8 +108,7 @@ func newRun(net *nn.Network, cfg Config, feat Features, rec trace.Recorder, reg 
 	if _, nop := rec.(trace.Nop); rec != nil && !nop {
 		e.rec = &trace.Stamper{R: rec}
 	}
-	e.obs = newObserver(reg)
-	e.obs.attach(e)
+	e.obs = newObserver(reg, e.ch)
 	e.net = net
 	e.feat = feat
 	e.cp = cp

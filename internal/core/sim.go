@@ -532,7 +532,7 @@ func (e *executor) execLayer(l *nn.Layer) error {
 		ls.ReusedInputBytes += r.onChip
 		shortcut := l.Index-p > 1 && p != 0
 		if shortcut && r.onChip > 0 {
-			e.obs.hit(ProcRetention) // mined shortcut bytes served on chip
+			e.obs.hit(procP3) // mined shortcut bytes served on chip
 		}
 		if dp := r.dramBytes(); dp > 0 {
 			read := int64(float64(dp)*factor + 0.5)
@@ -547,9 +547,9 @@ func (e *executor) execLayer(l *nn.Layer) error {
 			}
 			switch class {
 			case dram.ClassShortcutRead:
-				e.obs.miss(ProcRetention)
+				e.obs.miss(procP3)
 			case dram.ClassSpillRead:
-				e.obs.miss(ProcRoleSwitch)
+				e.obs.miss(procP2)
 			}
 			e.recordSpan(trace.Event{Kind: kind, Layer: l.Name,
 				Tag: e.net.Layers[p].Name, Class: class.String(), Bytes: moved}, start, dur)
@@ -558,7 +558,7 @@ func (e *executor) execLayer(l *nn.Layer) error {
 			if err := e.pool.SetRole(r.buf, sram.RoleInput); err != nil {
 				return err
 			}
-			e.obs.hit(ProcRoleSwitch)
+			e.obs.hit(procP2)
 			e.record(trace.Event{Kind: trace.KindRoleSwitch, Layer: l.Name, Tag: r.buf.Tag(),
 				Role: sram.RoleInput.String()})
 		}
@@ -591,17 +591,17 @@ func (e *executor) execLayer(l *nn.Layer) error {
 		ls.RecycledBanks = recycled
 		if l.Kind == nn.OpEltwiseAdd && e.feat.IncrementalRecycle {
 			if recycled > 0 {
-				e.obs.hit(ProcRecycle)
+				e.obs.hit(procP4)
 			} else {
-				e.obs.miss(ProcRecycle)
+				e.obs.miss(procP4)
 			}
 		}
 		if e.feat.PartialRetention {
 			switch {
 			case got > 0 && got < outBytes:
-				e.obs.hit(ProcPartial) // a prefix survived the squeeze
+				e.obs.hit(procP5) // a prefix survived the squeeze
 			case got == 0:
-				e.obs.miss(ProcPartial)
+				e.obs.miss(procP5)
 			}
 		}
 		if fullCopy {
@@ -706,7 +706,6 @@ func (e *executor) execLayer(l *nn.Layer) error {
 	}
 	ls.SRAMBytes = 2 * (inTotal + outBytes + plan.WeightReadBytes)
 	e.run.Layers = append(e.run.Layers, ls)
-	e.obs.layerDone(ls.MemCycles, ls.Cycles)
 	if e.rec != nil {
 		e.recordSpan(trace.Event{Kind: trace.KindLayerEnd, Layer: l.Name, Bytes: delta.Total(),
 			Banks: e.pool.UsedBanks(), Pinned: e.pool.PinnedBanks(),
@@ -796,6 +795,6 @@ func (e *executor) finish() (stats.RunStats, error) {
 		r.Compression = cs
 	}
 	r.Energy = e.cfg.Energy.Estimate(r.Traffic.Total(), r.SRAMBytes, r.MACs)
-	e.obs.finishRun(r, batch)
+	e.obs.finishRun(e)
 	return *r, nil
 }

@@ -185,7 +185,6 @@ type Pool struct {
 	buffers                 map[int32]*Buffer
 	nextID                  int32
 	pinned                  int // banks owned by pinned buffers, kept incrementally
-	observer                func(usedBanks, pinnedBanks int)
 
 	stats Stats
 }
@@ -269,9 +268,9 @@ func (p *Pool) Owner(bank int) *Buffer {
 func (p *Pool) FreeBytes() int64 { return int64(len(p.free)) * int64(p.cfg.BankBytes) }
 
 // PinnedBanks returns the number of banks owned by pinned buffers.
-// The count is maintained incrementally (Pin/Unpin/Grow) so the
-// observer hook can sample it on every pool mutation without an O(n)
-// scan; CheckInvariants verifies it against the buffer map.
+// The count is maintained incrementally (Pin/Unpin/Grow) so noteUsage
+// can ratchet Stats.PeakPinnedBanks on every pool mutation without an
+// O(n) scan; CheckInvariants verifies it against the buffer map.
 func (p *Pool) PinnedBanks() int { return p.pinned }
 
 // Stats returns a copy of the accumulated telemetry.
@@ -360,14 +359,8 @@ func (p *Pool) unregister(b *Buffer) {
 	delete(p.buffers, b.id)
 }
 
-// SetObserver installs a callback fired whenever occupancy may have
-// grown (allocation, growth, pinning), receiving the current used and
-// pinned bank counts. A nil observer (the default) costs one branch.
-// The metrics layer tracks occupancy high-water marks through it.
-func (p *Pool) SetObserver(o func(usedBanks, pinnedBanks int)) {
-	p.observer = o
-}
-
+// noteUsage ratchets the occupancy high-water marks in Stats after
+// every mutation that may have grown them.
 func (p *Pool) noteUsage() {
 	used, pinned := p.UsedBanks(), p.PinnedBanks()
 	if used > p.stats.PeakUsedBanks {
@@ -375,9 +368,6 @@ func (p *Pool) noteUsage() {
 	}
 	if pinned > p.stats.PeakPinnedBanks {
 		p.stats.PeakPinnedBanks = pinned
-	}
-	if p.observer != nil {
-		p.observer(used, pinned)
 	}
 }
 

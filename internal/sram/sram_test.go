@@ -442,43 +442,40 @@ func TestFreeClearsPayload(t *testing.T) {
 	}
 }
 
+// TestPoolObserver: the occupancy high-water marks in Stats, which
+// observed runs expose as the pool peak gauges, ratchet up across
+// alloc and pin and hold through unpin and free.
 func TestPoolObserver(t *testing.T) {
 	p := newTestPool(t, 8, 1024)
-	var lastUsed, lastPinned, calls int
-	p.SetObserver(func(used, pinned int) {
-		lastUsed, lastPinned = used, pinned
-		calls++
-	})
+	peaks := func(when string, used, pinned int) {
+		t.Helper()
+		if s := p.Stats(); s.PeakUsedBanks != used || s.PeakPinnedBanks != pinned {
+			t.Errorf("after %s: peaks used=%d pinned=%d, want %d, %d",
+				when, s.PeakUsedBanks, s.PeakPinnedBanks, used, pinned)
+		}
+	}
+	peaks("new pool", 0, 0)
 	b, err := p.Alloc(RoleOutput, "fm0", 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls == 0 || lastUsed != 2 || lastPinned != 0 {
-		t.Fatalf("after alloc: calls=%d used=%d pinned=%d", calls, lastUsed, lastPinned)
-	}
+	peaks("alloc", 2, 0)
 	if err := p.Pin(b); err != nil {
 		t.Fatal(err)
 	}
-	if lastPinned != 2 {
-		t.Errorf("after pin: pinned=%d, want 2", lastPinned)
-	}
+	peaks("pin", 2, 2)
 	if err := p.Unpin(b); err != nil {
 		t.Fatal(err)
 	}
+	peaks("unpin", 2, 2)
 	if err := p.Free(b); err != nil {
 		t.Fatal(err)
 	}
-	if lastUsed != 0 || lastPinned != 0 {
-		t.Errorf("after free: used=%d pinned=%d", lastUsed, lastPinned)
-	}
-	p.SetObserver(nil)
-	before := calls
-	if _, err := p.Alloc(RoleInput, "fm1", 1024); err != nil {
+	peaks("free", 2, 2)
+	if _, err := p.Alloc(RoleInput, "fm1", 3072); err != nil {
 		t.Fatal(err)
 	}
-	if calls != before {
-		t.Error("detached observer still called")
-	}
+	peaks("a larger alloc", 3, 2)
 	mustCheck(t, p)
 }
 
