@@ -4,7 +4,9 @@ import (
 	"context"
 	"testing"
 
+	"shortcutmining/internal/dram"
 	"shortcutmining/internal/metrics"
+	"shortcutmining/internal/nn"
 	"shortcutmining/internal/trace"
 )
 
@@ -31,25 +33,38 @@ func TestLayerCycleMetricsSumToTotal(t *testing.T) {
 	}
 }
 
+// TestDRAMMetricsMatchTraffic: scm_dram_bytes_total equals
+// RunStats.Traffic class by class, batch scaling and weight
+// amortization included, and the burst histogram counts every
+// transfer.
 func TestDRAMMetricsMatchTraffic(t *testing.T) {
-	n := residualNet(t)
-	reg := metrics.New()
-	r, err := SimulateObservedContext(context.Background(), n, smallConfig(), Baseline, nil, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// At batch=1 the channel observer sees every transfer exactly once,
-	// so the counter family equals the run's traffic vector.
-	if got, want := reg.SumCounter(MetricDRAMBytes), r.Traffic.Total(); got != want {
-		t.Errorf("sum(%s) = %d, want %d", MetricDRAMBytes, got, want)
-	}
-	if reg.SumCounter(MetricDRAMTransfers) == 0 {
-		t.Error("no transfers counted")
-	}
-	h := reg.Histogram(MetricDRAMBurstBytes, "", nil)
-	if h.Count() != reg.SumCounter(MetricDRAMTransfers) {
-		t.Errorf("burst histogram count %d != transfer count %d",
-			h.Count(), reg.SumCounter(MetricDRAMTransfers))
+	net := nn.MustBuild("resnet34")
+	for _, batch := range []int{1, 4} {
+		for _, amortize := range []bool{false, true} {
+			cfg := Default()
+			cfg.Batch = batch
+			cfg.AmortizeWeights = amortize
+			reg := metrics.New()
+			r, err := SimulateObservedContext(context.Background(), net, cfg, SCM, nil, reg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range dram.Classes() {
+				l := metrics.L("class", c.String())
+				if got, want := reg.Counter(MetricDRAMBytes, "", l).Value(), r.Traffic[c]; got != want {
+					t.Errorf("batch=%d amortize=%t: %s{class=%q} = %d, want Traffic %d",
+						batch, amortize, MetricDRAMBytes, c, got, want)
+				}
+			}
+			if reg.SumCounter(MetricDRAMTransfers) == 0 {
+				t.Error("no transfers counted")
+			}
+			h := reg.Histogram(MetricDRAMBurstBytes, "", nil)
+			if h.Count() != reg.SumCounter(MetricDRAMTransfers) {
+				t.Errorf("burst histogram count %d != transfer count %d",
+					h.Count(), reg.SumCounter(MetricDRAMTransfers))
+			}
+		}
 	}
 }
 
