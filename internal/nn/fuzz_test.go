@@ -11,7 +11,7 @@ import (
 // or a network that passes Validate — never a panic, never a
 // half-built graph — and any accepted network survives an
 // EncodeJSON/DecodeJSON round trip byte-identically. DecodeJSON also
-// agrees with its reflection reference, DecodeJSONReflect: the same error
+// agrees with its reflection reference, decodeJSONReflect: the same error
 // text, or networks with the same encoding.
 func FuzzDecodeJSON(f *testing.F) {
 	f.Add(`{"name":"tiny","input":{"c":3,"h":8,"w":8},"layers":[` +
@@ -62,7 +62,7 @@ func FuzzDecodeJSON(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data string) {
 		net, err := DecodeJSON(strings.NewReader(data))
-		ref, refErr := DecodeJSONReflect(strings.NewReader(data))
+		ref, refErr := decodeJSONReflect(strings.NewReader(data))
 		if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
 			t.Fatalf("DecodeJSON error %v, reflection reference %v\ninput: %q", err, refErr, data)
 		}

@@ -85,7 +85,7 @@ func DecodeJSON(r io.Reader) (*Network, error) {
 			return build()
 		}
 	}
-	return DecodeJSONReflect(canonjson.Replay(data, err))
+	return decodeJSONReflect(canonjson.Replay(data, err))
 }
 
 // layerBufs recycles the layer lists ReadJSON decodes into, up to
@@ -178,11 +178,11 @@ func readLayer(cr *canonjson.Reader, jl *jsonLayer) {
 	})
 }
 
-// DecodeJSONReflect is DecodeJSON's reference path alone: encoding/json
+// decodeJSONReflect is DecodeJSON's reference path alone: encoding/json
 // with unknown fields disallowed, then the trailing-data check, then
-// the build. Its results are DecodeJSON's; it is for a caller that has
-// already seen the document leave canonjson's subset.
-func DecodeJSONReflect(r io.Reader) (*Network, error) {
+// the build. DecodeJSON falls back to it for a document outside
+// canonjson's subset; FuzzDecodeJSON holds the two to the same results.
+func decodeJSONReflect(r io.Reader) (*Network, error) {
 	var jn jsonNetwork
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()

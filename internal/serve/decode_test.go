@@ -283,27 +283,26 @@ func TestDecodeJSONReadErrorAfterDocument(t *testing.T) {
 }
 
 // TestReadSimulateTakesCanonicalBodies: the one-pass reader takes
-// documents in the subset and hands the rest to the reference, saying
-// when the graph member was what left the subset.
+// documents in the subset and hands the rest to the reference.
 func TestReadSimulateTakesCanonicalBodies(t *testing.T) {
 	const tiny = `{"name":"t","input":{"c":4,"h":8,"w":8},"layers":[{"name":"c","op":"conv","inputs":["input"],"out_channels":4,"kernel":3,"stride":1,"pad":1}]}`
 	for _, c := range []struct {
-		body         string
-		ok, graphOut bool
+		body string
+		ok   bool
 	}{
-		{string(coldBody(t)), true, false},
-		{`{"network":"densechain","strategy":"scm","observe":true,"trace":false,"async":false,"timeout_ms":100}`, true, false},
-		{"{\n  \"network\": \"densechain\"\n}\n", true, false},
-		{`{"Network":"densechain"}`, false, false},
-		{`{"network":"densechain","config":{"Name":"\u0041"}}`, false, false},
-		{`{"network":null}`, false, false},
-		{`{"graph":` + tiny + `,"Strategy":"scm"}`, false, false},
-		{`{"graph":` + strings.Replace(tiny, `"kernel":3`, `"Kernel":3`, 1) + `}`, false, true},
-		{`{"graph":` + strings.Replace(tiny, `"kernel":3`, `"kernel":3.0`, 1) + `}`, false, true},
+		{string(coldBody(t)), true},
+		{`{"network":"densechain","strategy":"scm","observe":true,"trace":false,"async":false,"timeout_ms":100}`, true},
+		{"{\n  \"network\": \"densechain\"\n}\n", true},
+		{`{"Network":"densechain"}`, false},
+		{`{"network":"densechain","config":{"Name":"\u0041"}}`, false},
+		{`{"network":null}`, false},
+		{`{"graph":` + tiny + `,"Strategy":"scm"}`, false},
+		{`{"graph":` + strings.Replace(tiny, `"kernel":3`, `"Kernel":3`, 1) + `}`, false},
+		{`{"graph":` + strings.Replace(tiny, `"kernel":3`, `"kernel":3.0`, 1) + `}`, false},
 	} {
 		var body simulateBody
-		if ok, graphOut := readSimulate([]byte(c.body), &body); ok != c.ok || graphOut != c.graphOut {
-			t.Errorf("readSimulate(%.60q) = %t, %t, want %t, %t", c.body, ok, graphOut, c.ok, c.graphOut)
+		if ok := readSimulate([]byte(c.body), &body); ok != c.ok {
+			t.Errorf("readSimulate(%.60q) = %t, want %t", c.body, ok, c.ok)
 		}
 	}
 }

@@ -44,11 +44,8 @@ type netBody struct {
 	Config json.RawMessage `json:"config,omitempty"`
 
 	// graph is the inline graph as readSimulate read and built it in
-	// place; Graph then stays nil. graphOut marks a Graph that
-	// readSimulate saw leave canonjson's subset, so it is decoded by
-	// reflection alone rather than read in part a second time.
-	graph    *builtGraph
-	graphOut bool
+	// place; Graph then stays nil.
+	graph *builtGraph
 }
 
 // builtGraph is an inline graph's network and build error.
@@ -269,8 +266,6 @@ func (b netBody) resolve() (*nn.Network, core.Config, error) {
 		net, err = nn.Build(b.Network)
 	case b.graph != nil:
 		net, err = b.graph.net, b.graph.err
-	case b.Graph != nil && b.graphOut:
-		net, err = nn.DecodeJSONReflect(bytes.NewReader(b.Graph))
 	case b.Graph != nil:
 		net, err = nn.DecodeJSON(bytes.NewReader(b.Graph))
 	default:
@@ -317,13 +312,8 @@ func decodeSimulate(r io.Reader, reqID string) (simulateBody, Request, error) {
 	_, rerr := buf.ReadFrom(r)
 	data := buf.Bytes()
 	var body simulateBody
-	ok, graphOut := false, false
-	if rerr == nil {
-		ok, graphOut = readSimulate(data, &body)
-	}
-	if !ok {
+	if rerr != nil || !readSimulate(data, &body) {
 		body = simulateBody{}
-		body.graphOut = graphOut
 		if err := decodeJSON(canonjson.Replay(data, rerr), &body); err != nil {
 			return body, Request{}, err
 		}
@@ -336,10 +326,9 @@ func decodeSimulate(r io.Reader, reqID string) (simulateBody, Request, error) {
 var simulateKeys = []string{"network", "graph", "config", "strategy", "observe", "trace", "async", "timeout_ms"}
 
 // readSimulate reads a simulate document in canonjson's subset into
-// body and reports whether it was one, and if not, whether its graph
-// member was what left the subset. Config keeps its own decoder: its
-// bytes are copied out of data, which the caller reuses.
-func readSimulate(data []byte, body *simulateBody) (ok, graphOut bool) {
+// body and reports whether it was one. Config keeps its own decoder:
+// its bytes are copied out of data, which the caller reuses.
+func readSimulate(data []byte, body *simulateBody) bool {
 	cr := canonjson.NewReader(data)
 	var build func() (*nn.Network, error)
 	cr.Object(simulateKeys, func(i int) {
@@ -348,7 +337,6 @@ func readSimulate(data []byte, body *simulateBody) (ok, graphOut bool) {
 			body.Network = cr.Str()
 		case 1:
 			build = nn.ReadJSON(cr)
-			graphOut = build == nil
 		case 2:
 			body.Config = bytes.Clone(cr.Raw())
 		case 3:
@@ -366,13 +354,13 @@ func readSimulate(data []byte, body *simulateBody) (ok, graphOut bool) {
 	// The graph is built only once the whole document is known to be
 	// in the subset, so a body that falls back builds it once.
 	if cr.End(); !cr.OK() {
-		return false, graphOut
+		return false
 	}
 	if build != nil {
 		net, err := build()
 		body.graph = &builtGraph{net: net, err: err}
 	}
-	return true, false
+	return true
 }
 
 // request validates a decoded simulate document and resolves it into
