@@ -25,20 +25,13 @@ import (
 
 // CalibrationTarget is the paper's claims as an optimization target.
 type CalibrationTarget struct {
-	Reductions map[string]float64 // network → fractional reduction
-	Speedup    float64            // geomean
+	Reductions []Anchor // per-network fractional reductions
+	Speedup    float64  // geomean
 }
 
 // PaperTarget returns the abstract's numbers.
 func PaperTarget() CalibrationTarget {
-	return CalibrationTarget{
-		Reductions: map[string]float64{
-			"squeezenet-bypass": 0.533,
-			"resnet34":          0.58,
-			"resnet152":         0.43,
-		},
-		Speedup: 1.93,
-	}
+	return CalibrationTarget{Reductions: Headline(), Speedup: PaperSpeedup}
 }
 
 // CalibrationError scores a platform against the target: the RMS of
@@ -47,16 +40,16 @@ func PaperTarget() CalibrationTarget {
 func CalibrationError(cfg core.Config, target CalibrationTarget) (float64, error) {
 	var sumSq float64
 	var speedups []float64
-	for name, want := range target.Reductions {
-		base, err := simulate(name, cfg, core.Baseline)
+	for _, a := range target.Reductions {
+		base, err := simulate(a.Network, cfg, core.Baseline)
 		if err != nil {
 			return 0, err
 		}
-		scm, err := simulate(name, cfg, core.SCM)
+		scm, err := simulate(a.Network, cfg, core.SCM)
 		if err != nil {
 			return 0, err
 		}
-		diff := scm.TrafficReductionVs(base) - want
+		diff := scm.TrafficReductionVs(base) - a.Reduction
 		sumSq += diff * diff
 		speedups = append(speedups, scm.SpeedupVs(base))
 	}

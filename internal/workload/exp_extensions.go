@@ -65,14 +65,14 @@ func runE15(cfg core.Config) (Result, error) {
 	pools := []int64{256, 384, 544, 768}
 	header := []string{"pool (KiB)"}
 	for _, h := range headline {
-		header = append(header, h.name+" Δtraffic", h.name+" evictions")
+		header = append(header, h.Network+" Δtraffic", h.Network+" evictions")
 	}
 	t := stats.NewTable("EvictFarthest vs the paper's retain-pinned policy (SCM)", header...)
 	metrics := map[string]float64{}
 	for _, kb := range pools {
 		row := []string{fmt.Sprint(kb)}
 		for _, h := range headline {
-			net, err := nn.Build(h.name)
+			net, err := nn.Build(h.Network)
 			if err != nil {
 				return Result{}, err
 			}
@@ -87,8 +87,8 @@ func runE15(cfg core.Config) (Result, error) {
 				return Result{}, err
 			}
 			delta := float64(evict.FmapTrafficBytes())/float64(keep.FmapTrafficBytes()) - 1
-			metrics[fmt.Sprintf("delta/%s/%d", h.name, kb)] = delta
-			metrics[fmt.Sprintf("evictions/%s/%d", h.name, kb)] = float64(evict.BanksEvicted)
+			metrics[fmt.Sprintf("delta/%s/%d", h.Network, kb)] = delta
+			metrics[fmt.Sprintf("evictions/%s/%d", h.Network, kb)] = float64(evict.BanksEvicted)
 			row = append(row, fmt.Sprintf("%+.2f%%", 100*delta), fmt.Sprint(evict.BanksEvicted))
 		}
 		t.Add(row...)
@@ -116,14 +116,14 @@ func runE16(cfg core.Config) (Result, error) {
 
 	header := []string{"fmap channel (GB/s)"}
 	for _, h := range headline {
-		header = append(header, h.name+" speedup")
+		header = append(header, h.Network+" speedup")
 	}
 	t := stats.NewTable("SCM speedup vs feature-map channel bandwidth", header...)
 	metrics := map[string]float64{}
 	for _, bw := range []float64{0.5, 1.0, 2.0, 4.0, 8.0, 12.8} {
 		row := []string{fmt.Sprintf("%.1f", bw)}
 		for _, h := range headline {
-			net, err := nn.Build(h.name)
+			net, err := nn.Build(h.Network)
 			if err != nil {
 				return Result{}, err
 			}
@@ -134,7 +134,7 @@ func runE16(cfg core.Config) (Result, error) {
 				return Result{}, err
 			}
 			sp := scm.SpeedupVs(base)
-			metrics[fmt.Sprintf("speedup/%s/%.1f", h.name, bw)] = sp
+			metrics[fmt.Sprintf("speedup/%s/%.1f", h.Network, bw)] = sp
 			row = append(row, stats.F2(sp)+"×")
 		}
 		t.Add(row...)
@@ -146,9 +146,9 @@ func runE16(cfg core.Config) (Result, error) {
 		values := make([]float64, len(bws))
 		for i, bw := range bws {
 			labels[i] = fmt.Sprintf("%.1f GB/s", bw)
-			values[i] = metrics[fmt.Sprintf("speedup/%s/%.1f", h.name, bw)]
+			values[i] = metrics[fmt.Sprintf("speedup/%s/%.1f", h.Network, bw)]
 		}
-		charts = append(charts, stats.Chart(h.name+" — SCM speedup vs fmap bandwidth", labels, values, 40))
+		charts = append(charts, stats.Chart(h.Network+" — SCM speedup vs fmap bandwidth", labels, values, 40))
 	}
 	return Result{
 		Tables:  []*stats.Table{t},

@@ -35,27 +35,27 @@ func runE3(cfg core.Config) (Result, error) {
 		"fm-reuse reduction", "scm reduction", "paper")
 	metrics := map[string]float64{}
 	for _, h := range headline {
-		base, err := simulate(h.name, cfg, core.Baseline)
+		base, err := simulate(h.Network, cfg, core.Baseline)
 		if err != nil {
 			return Result{}, err
 		}
-		fmr, err := simulate(h.name, cfg, core.FMReuse)
+		fmr, err := simulate(h.Network, cfg, core.FMReuse)
 		if err != nil {
 			return Result{}, err
 		}
-		scm, err := simulate(h.name, cfg, core.SCM)
+		scm, err := simulate(h.Network, cfg, core.SCM)
 		if err != nil {
 			return Result{}, err
 		}
 		red := scm.TrafficReductionVs(base)
-		metrics["reduction/"+h.name] = red
-		t.Add(h.name,
+		metrics["reduction/"+h.Network] = red
+		t.Add(h.Network,
 			stats.MB(base.FmapTrafficBytes()),
 			stats.MB(fmr.FmapTrafficBytes()),
 			stats.MB(scm.FmapTrafficBytes()),
 			stats.Pct(fmr.TrafficReductionVs(base)),
 			stats.Pct(red),
-			stats.Pct(h.paperRed))
+			stats.Pct(h.Reduction))
 	}
 	return Result{
 		Tables:  []*stats.Table{t},
@@ -73,18 +73,18 @@ func runE4(cfg core.Config) (Result, error) {
 	metrics := map[string]float64{}
 	var speedups []float64
 	for _, h := range headline {
-		base, err := simulate(h.name, cfg, core.Baseline)
+		base, err := simulate(h.Network, cfg, core.Baseline)
 		if err != nil {
 			return Result{}, err
 		}
-		scm, err := simulate(h.name, cfg, core.SCM)
+		scm, err := simulate(h.Network, cfg, core.SCM)
 		if err != nil {
 			return Result{}, err
 		}
 		sp := scm.SpeedupVs(base)
 		speedups = append(speedups, sp)
-		metrics["speedup/"+h.name] = sp
-		t.Add(h.name,
+		metrics["speedup/"+h.Network] = sp
+		t.Add(h.Network,
 			stats.F2(base.Throughput()), stats.F2(scm.Throughput()),
 			stats.F2(sp)+"×", stats.F2(base.GOPS()), stats.F2(scm.GOPS()))
 	}
@@ -95,7 +95,7 @@ func runE4(cfg core.Config) (Result, error) {
 		Tables:  []*stats.Table{t},
 		Metrics: metrics,
 		Notes: []string{
-			fmt.Sprintf("Geomean speedup %.2f× vs the paper's 1.93×; the baseline is feature-map bound on the calibrated platform, so traffic saved converts to time saved.", geo),
+			fmt.Sprintf("Geomean speedup %.2f× vs the paper's %.2f×; the baseline is feature-map bound on the calibrated platform, so traffic saved converts to time saved.", geo, PaperSpeedup),
 		},
 	}, nil
 }

@@ -54,7 +54,7 @@ func runE8(cfg core.Config) (Result, error) {
 	for i, st := range steps {
 		row := []string{st.label}
 		for _, h := range headline {
-			net, err := nn.Build(h.name)
+			net, err := nn.Build(h.Network)
 			if err != nil {
 				return Result{}, err
 			}
@@ -63,10 +63,10 @@ func runE8(cfg core.Config) (Result, error) {
 				return Result{}, err
 			}
 			if i == 0 {
-				baselines[h.name] = r.FmapTrafficBytes()
+				baselines[h.Network] = r.FmapTrafficBytes()
 			}
-			red := 1 - float64(r.FmapTrafficBytes())/float64(baselines[h.name])
-			metrics[fmt.Sprintf("red/%d/%s", i, h.name)] = red
+			red := 1 - float64(r.FmapTrafficBytes())/float64(baselines[h.Network])
+			metrics[fmt.Sprintf("red/%d/%s", i, h.Network)] = red
 			row = append(row, fmt.Sprintf("%s (%s)", stats.MB(r.FmapTrafficBytes()), stats.Pct(red)))
 		}
 		t.Add(row...)

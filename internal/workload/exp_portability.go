@@ -57,18 +57,18 @@ func runE21(cfg core.Config) (Result, error) {
 		}
 		row := []string{p.name, fmt.Sprint(rep.Fits)}
 		for _, h := range headline {
-			base, err := simulate(h.name, c, core.Baseline)
+			base, err := simulate(h.Network, c, core.Baseline)
 			if err != nil {
 				return Result{}, err
 			}
-			scm, err := simulate(h.name, c, core.SCM)
+			scm, err := simulate(h.Network, c, core.SCM)
 			if err != nil {
 				return Result{}, err
 			}
 			red := scm.TrafficReductionVs(base)
 			sp := scm.SpeedupVs(base)
-			metrics[fmt.Sprintf("red/%s/%s", p.name, h.name)] = red
-			metrics[fmt.Sprintf("speedup/%s/%s", p.name, h.name)] = sp
+			metrics[fmt.Sprintf("red/%s/%s", p.name, h.Network)] = red
+			metrics[fmt.Sprintf("speedup/%s/%s", p.name, h.Network)] = sp
 			row = append(row, fmt.Sprintf("%s / %s×", stats.Pct(red), stats.F2(sp)))
 		}
 		metrics["fits/"+p.name] = boolToFloat(rep.Fits)

@@ -37,7 +37,7 @@ func runE22(cfg core.Config) (Result, error) {
 		"network", "failed banks", "baseline", "scm", "scm inflation vs fault-free", "scm reduction vs baseline")
 	metrics := map[string]float64{}
 	for _, h := range headline {
-		net, err := nn.Build(h.name)
+		net, err := nn.Build(h.Network)
 		if err != nil {
 			return Result{}, err
 		}
@@ -55,9 +55,9 @@ func runE22(cfg core.Config) (Result, error) {
 				cleanSCM = scm
 			}
 			inflation := float64(scm.FmapTrafficBytes())/float64(cleanSCM.FmapTrafficBytes()) - 1
-			metrics[fmt.Sprintf("inflation/%s/%s", h.name, fr.label)] = inflation
-			metrics[fmt.Sprintf("reduction/%s/%s", h.name, fr.label)] = scm.TrafficReductionVs(base)
-			t.Add(h.name, fmt.Sprintf("%d (%s)", fr.banks, fr.label),
+			metrics[fmt.Sprintf("inflation/%s/%s", h.Network, fr.label)] = inflation
+			metrics[fmt.Sprintf("reduction/%s/%s", h.Network, fr.label)] = scm.TrafficReductionVs(base)
+			t.Add(h.Network, fmt.Sprintf("%d (%s)", fr.banks, fr.label),
 				stats.F2(float64(base.FmapTrafficBytes())/1e6),
 				stats.F2(float64(scm.FmapTrafficBytes())/1e6),
 				stats.Pct(inflation),
@@ -79,7 +79,7 @@ func runE22(cfg core.Config) (Result, error) {
 		"DMA drops (p=0.05) + bandwidth degradation (0.75x from layer 4): cycle cost without traffic inflation",
 		"network", "strategy", "dma retries", "retry cycles", "degraded cycles", "throughput vs fault-free", "traffic moved?")
 	for _, h := range headline {
-		net, err := nn.Build(h.name)
+		net, err := nn.Build(h.Network)
 		if err != nil {
 			return Result{}, err
 		}
@@ -97,8 +97,8 @@ func runE22(cfg core.Config) (Result, error) {
 				moved = "YES (bug)"
 			}
 			rel := faulty.Throughput() / clean.Throughput()
-			metrics[fmt.Sprintf("adversity-throughput/%s/%s", h.name, s)] = rel
-			t2.Add(h.name, s.String(),
+			metrics[fmt.Sprintf("adversity-throughput/%s/%s", h.Network, s)] = rel
+			t2.Add(h.Network, s.String(),
 				fmt.Sprintf("%d", faulty.Faults.DMARetries),
 				fmt.Sprintf("%d", faulty.Faults.DMARetryCycles),
 				fmt.Sprintf("%d", faulty.Faults.DegradedCycles),

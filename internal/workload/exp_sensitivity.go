@@ -41,7 +41,7 @@ var poolSweepKiB = []int64{128, 256, 384, 544, 768, 1024, 1536, 2048, 4096}
 func runE6(cfg core.Config) (Result, error) {
 	header := []string{"pool (KiB)"}
 	for _, h := range headline {
-		header = append(header, h.name+" reduction")
+		header = append(header, h.Network+" reduction")
 	}
 	t := stats.NewTable("SCM traffic reduction vs pool capacity", header...)
 	metrics := map[string]float64{}
@@ -49,16 +49,16 @@ func runE6(cfg core.Config) (Result, error) {
 		row := []string{fmt.Sprint(kb)}
 		c := cfg.WithPoolBytes(kb << 10)
 		for _, h := range headline {
-			base, err := simulate(h.name, c, core.Baseline)
+			base, err := simulate(h.Network, c, core.Baseline)
 			if err != nil {
 				return Result{}, err
 			}
-			scm, err := simulate(h.name, c, core.SCM)
+			scm, err := simulate(h.Network, c, core.SCM)
 			if err != nil {
 				return Result{}, err
 			}
 			red := scm.TrafficReductionVs(base)
-			metrics[fmt.Sprintf("red/%s/%d", h.name, kb)] = red
+			metrics[fmt.Sprintf("red/%s/%d", h.Network, kb)] = red
 			row = append(row, stats.Pct(red))
 		}
 		t.Add(row...)
@@ -69,9 +69,9 @@ func runE6(cfg core.Config) (Result, error) {
 		values := make([]float64, len(poolSweepKiB))
 		for i, kb := range poolSweepKiB {
 			labels[i] = fmt.Sprintf("%d KiB", kb)
-			values[i] = 100 * metrics[fmt.Sprintf("red/%s/%d", h.name, kb)]
+			values[i] = 100 * metrics[fmt.Sprintf("red/%s/%d", h.Network, kb)]
 		}
-		charts = append(charts, stats.Chart(h.name+" — SCM reduction (%) vs pool capacity", labels, values, 40))
+		charts = append(charts, stats.Chart(h.Network+" — SCM reduction (%) vs pool capacity", labels, values, 40))
 	}
 	return Result{
 		Tables:  []*stats.Table{t},
@@ -89,19 +89,19 @@ func runE7(cfg core.Config) (Result, error) {
 		"baseline total (mJ)", "scm total (mJ)", "total reduction")
 	metrics := map[string]float64{}
 	for _, h := range headline {
-		base, err := simulate(h.name, cfg, core.Baseline)
+		base, err := simulate(h.Network, cfg, core.Baseline)
 		if err != nil {
 			return Result{}, err
 		}
-		scm, err := simulate(h.name, cfg, core.SCM)
+		scm, err := simulate(h.Network, cfg, core.SCM)
 		if err != nil {
 			return Result{}, err
 		}
 		dRed := 1 - scm.Energy.DRAMPJ/base.Energy.DRAMPJ
 		tRed := 1 - scm.Energy.TotalPJ()/base.Energy.TotalPJ()
-		metrics["dram/"+h.name] = dRed
-		metrics["total/"+h.name] = tRed
-		t.Add(h.name,
+		metrics["dram/"+h.Network] = dRed
+		metrics["total/"+h.Network] = tRed
+		t.Add(h.Network,
 			fmt.Sprintf("%.2f", base.Energy.DRAMPJ/1e9), fmt.Sprintf("%.2f", scm.Energy.DRAMPJ/1e9),
 			stats.Pct(dRed),
 			fmt.Sprintf("%.2f", base.Energy.TotalMJ()), fmt.Sprintf("%.2f", scm.Energy.TotalMJ()),
@@ -161,16 +161,16 @@ func runE12(cfg core.Config) (Result, error) {
 		c.DType = d
 		row := []string{d.String()}
 		for _, h := range headline {
-			base, err := simulate(h.name, c, core.Baseline)
+			base, err := simulate(h.Network, c, core.Baseline)
 			if err != nil {
 				return Result{}, err
 			}
-			scm, err := simulate(h.name, c, core.SCM)
+			scm, err := simulate(h.Network, c, core.SCM)
 			if err != nil {
 				return Result{}, err
 			}
 			red := scm.TrafficReductionVs(base)
-			metrics[fmt.Sprintf("red/%s/%s", d, h.name)] = red
+			metrics[fmt.Sprintf("red/%s/%s", d, h.Network)] = red
 			row = append(row, stats.Pct(red))
 		}
 		t.Add(row...)

@@ -23,14 +23,14 @@ func runE18(cfg core.Config) (Result, error) {
 
 	header := []string{"pool (KiB)"}
 	for _, h := range headline {
-		header = append(header, h.name+" scm", h.name+" +SR")
+		header = append(header, h.Network+" scm", h.Network+" +SR")
 	}
 	t := stats.NewTable("Feature-map traffic (MiB): canonical SCM vs SCM + streaming recycle", header...)
 	metrics := map[string]float64{}
 	for _, kb := range []int64{128, 256, 544, 1024} {
 		row := []string{fmt.Sprint(kb)}
 		for _, h := range headline {
-			net, err := nn.Build(h.name)
+			net, err := nn.Build(h.Network)
 			if err != nil {
 				return Result{}, err
 			}
@@ -44,7 +44,7 @@ func runE18(cfg core.Config) (Result, error) {
 				return Result{}, err
 			}
 			gain := 1 - float64(plus.FmapTrafficBytes())/float64(plain.FmapTrafficBytes())
-			metrics[fmt.Sprintf("gain/%s/%d", h.name, kb)] = gain
+			metrics[fmt.Sprintf("gain/%s/%d", h.Network, kb)] = gain
 			row = append(row, stats.MB(plain.FmapTrafficBytes()), stats.MB(plus.FmapTrafficBytes()))
 		}
 		t.Add(row...)

@@ -24,7 +24,7 @@ func runE19(cfg core.Config) (Result, error) {
 		"speedup simple", "speedup detailed")
 	metrics := map[string]float64{}
 	for _, h := range headline {
-		net, err := nn.Build(h.name)
+		net, err := nn.Build(h.Network)
 		if err != nil {
 			return Result{}, err
 		}
@@ -38,10 +38,10 @@ func runE19(cfg core.Config) (Result, error) {
 		}
 		spS := ss.SpeedupVs(bs)
 		spD := sd.SpeedupVs(bd)
-		metrics["speedup-simple/"+h.name] = spS
-		metrics["speedup-detailed/"+h.name] = spD
-		metrics["slowdown/"+h.name] = bs.Throughput() / bd.Throughput()
-		t.Add(h.name,
+		metrics["speedup-simple/"+h.Network] = spS
+		metrics["speedup-detailed/"+h.Network] = spD
+		metrics["slowdown/"+h.Network] = bs.Throughput() / bd.Throughput()
+		t.Add(h.Network,
 			stats.F2(bs.Throughput()), stats.F2(bd.Throughput()),
 			stats.F2(ss.Throughput()), stats.F2(sd.Throughput()),
 			stats.F2(spS)+"×", stats.F2(spD)+"×")

@@ -128,13 +128,28 @@ func geomean(vals []float64) float64 {
 	return math.Pow(p, 1/float64(len(vals)))
 }
 
-// headline lists the networks of the paper's headline results paired
-// with the reductions the abstract reports.
-var headline = []struct {
-	name     string
-	paperRed float64 // fraction
-}{
+// Anchor is one of the abstract's traffic-reduction claims: a headline
+// network and the fraction of its feature-map traffic that Shortcut
+// Mining removes.
+type Anchor struct {
+	Network   string
+	Reduction float64 // fraction
+}
+
+// PaperSpeedup is the abstract's geomean throughput claim over the
+// baseline.
+const PaperSpeedup = 1.93
+
+// headline is the one table of the abstract's traffic-reduction
+// claims, in the order the experiments and the scorecard list them.
+// PaperTarget and the EXPERIMENTS.md scorecard read it through
+// Headline.
+var headline = []Anchor{
 	{"squeezenet-bypass", 0.533},
 	{"resnet34", 0.58},
 	{"resnet152", 0.43},
 }
+
+// Headline returns the abstract's traffic-reduction claims in table
+// order.
+func Headline() []Anchor { return append([]Anchor(nil), headline...) }

@@ -109,8 +109,8 @@ func TestE4SpeedupNearPaper(t *testing.T) {
 		t.Errorf("geomean speedup %.2f outside 1.6–2.2 band around the paper's 1.93", geo)
 	}
 	for _, h := range headline {
-		if sp := res.Metrics["speedup/"+h.name]; sp <= 1.0 {
-			t.Errorf("%s speedup %.2f not > 1", h.name, sp)
+		if sp := res.Metrics["speedup/"+h.Network]; sp <= 1.0 {
+			t.Errorf("%s speedup %.2f not > 1", h.Network, sp)
 		}
 	}
 }
@@ -127,16 +127,16 @@ func TestE6MonotoneInCapacity(t *testing.T) {
 		// dips at saturation are expected; SCM's absolute traffic is
 		// strictly monotone (tested in core).
 		for _, kb := range poolSweepKiB {
-			red := res.Metrics[keyE6(h.name, kb)]
+			red := res.Metrics[keyE6(h.Network, kb)]
 			if red < prev-1e-3 {
-				t.Errorf("%s: reduction dropped at %d KiB: %.3f < %.3f", h.name, kb, red, prev)
+				t.Errorf("%s: reduction dropped at %d KiB: %.3f < %.3f", h.Network, kb, red, prev)
 			}
 			prev = red
 		}
 		// Saturation: the largest pool must essentially eliminate
 		// feature-map traffic beyond image+result.
-		if last := res.Metrics[keyE6(h.name, 4096)]; last < 0.85 {
-			t.Errorf("%s: 4 MiB pool reduction only %.1f%%", h.name, 100*last)
+		if last := res.Metrics[keyE6(h.Network, 4096)]; last < 0.85 {
+			t.Errorf("%s: 4 MiB pool reduction only %.1f%%", h.Network, 100*last)
 		}
 	}
 }
@@ -184,9 +184,9 @@ func TestE8AblationOrdered(t *testing.T) {
 	for _, h := range headline {
 		prev := -1.0
 		for i := 0; i <= 3; i++ { // steps 0..3 are cumulative
-			red := res.Metrics["red/"+itoa(int64(i))+"/"+h.name]
+			red := res.Metrics["red/"+itoa(int64(i))+"/"+h.Network]
 			if red < prev-1e-9 {
-				t.Errorf("%s: step %d reduction %.3f < previous %.3f", h.name, i, red, prev)
+				t.Errorf("%s: step %d reduction %.3f < previous %.3f", h.Network, i, red, prev)
 			}
 			prev = red
 		}
@@ -212,10 +212,10 @@ func TestE12NarrowerIsBetter(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, h := range headline {
-		r8 := res.Metrics["red/fixed8/"+h.name]
-		r32 := res.Metrics["red/float32/"+h.name]
+		r8 := res.Metrics["red/fixed8/"+h.Network]
+		r32 := res.Metrics["red/float32/"+h.Network]
 		if r8 <= r32 {
-			t.Errorf("%s: fixed8 reduction %.3f not above float32 %.3f", h.name, r8, r32)
+			t.Errorf("%s: fixed8 reduction %.3f not above float32 %.3f", h.Network, r8, r32)
 		}
 	}
 }
@@ -298,16 +298,16 @@ func TestE16SpeedupDecaysWithBandwidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, h := range headline {
-		lo := res.Metrics["speedup/"+h.name+"/0.5"]
-		hi := res.Metrics["speedup/"+h.name+"/12.8"]
+		lo := res.Metrics["speedup/"+h.Network+"/0.5"]
+		hi := res.Metrics["speedup/"+h.Network+"/12.8"]
 		if lo <= hi {
-			t.Errorf("%s: speedup did not decay with bandwidth (%.2f vs %.2f)", h.name, lo, hi)
+			t.Errorf("%s: speedup did not decay with bandwidth (%.2f vs %.2f)", h.Network, lo, hi)
 		}
 		if hi > 1.3 {
-			t.Errorf("%s: compute-bound regime still shows %.2f× speedup", h.name, hi)
+			t.Errorf("%s: compute-bound regime still shows %.2f× speedup", h.Network, hi)
 		}
 		if hi < 1.0 {
-			t.Errorf("%s: SCM slower than baseline at high bandwidth", h.name)
+			t.Errorf("%s: SCM slower than baseline at high bandwidth", h.Network)
 		}
 	}
 }
@@ -362,18 +362,18 @@ func TestE19SpeedupStableAcrossTimingModels(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, h := range headline {
-		s := res.Metrics["speedup-simple/"+h.name]
-		d := res.Metrics["speedup-detailed/"+h.name]
+		s := res.Metrics["speedup-simple/"+h.Network]
+		d := res.Metrics["speedup-detailed/"+h.Network]
 		if d < 1.0 {
-			t.Errorf("%s: detailed speedup %.2f below 1", h.name, d)
+			t.Errorf("%s: detailed speedup %.2f below 1", h.Network, d)
 		}
 		// Stable means within ~35%% relatively — bubbles shift both
 		// designs, not the conclusion.
 		if d < 0.65*s || d > 1.35*s {
-			t.Errorf("%s: speedup moved %.2f → %.2f across timing models", h.name, s, d)
+			t.Errorf("%s: speedup moved %.2f → %.2f across timing models", h.Network, s, d)
 		}
-		if res.Metrics["slowdown/"+h.name] < 1.0 {
-			t.Errorf("%s: detailed model made the baseline faster", h.name)
+		if res.Metrics["slowdown/"+h.Network] < 1.0 {
+			t.Errorf("%s: detailed model made the baseline faster", h.Network)
 		}
 	}
 }
@@ -408,11 +408,11 @@ func TestE21PortabilityStoryHolds(t *testing.T) {
 			t.Errorf("%s does not fit its device", plat)
 		}
 		for _, h := range headline {
-			if red := res.Metrics[fmt.Sprintf("red/%s/%s", plat, h.name)]; red < 0.15 {
-				t.Errorf("%s/%s: reduction %.3f too small", plat, h.name, red)
+			if red := res.Metrics[fmt.Sprintf("red/%s/%s", plat, h.Network)]; red < 0.15 {
+				t.Errorf("%s/%s: reduction %.3f too small", plat, h.Network, red)
 			}
-			if sp := res.Metrics[fmt.Sprintf("speedup/%s/%s", plat, h.name)]; sp <= 1.0 {
-				t.Errorf("%s/%s: speedup %.3f not > 1", plat, h.name, sp)
+			if sp := res.Metrics[fmt.Sprintf("speedup/%s/%s", plat, h.Network)]; sp <= 1.0 {
+				t.Errorf("%s/%s: speedup %.3f not > 1", plat, h.Network, sp)
 			}
 		}
 	}
@@ -463,22 +463,22 @@ func TestE22GracefulDegradation(t *testing.T) {
 	for _, h := range headline {
 		prev := -1.0
 		for _, label := range []string{"0%", "12%", "25%"} {
-			infl := res.Metrics[fmt.Sprintf("inflation/%s/%s", h.name, label)]
+			infl := res.Metrics[fmt.Sprintf("inflation/%s/%s", h.Network, label)]
 			if infl < prev {
-				t.Errorf("%s: inflation not monotone at %s: %.4f < %.4f", h.name, label, infl, prev)
+				t.Errorf("%s: inflation not monotone at %s: %.4f < %.4f", h.Network, label, infl, prev)
 			}
 			prev = infl
-			if red := res.Metrics[fmt.Sprintf("reduction/%s/%s", h.name, label)]; red <= 0 {
-				t.Errorf("%s at %s failed banks: SCM reduction %.3f not positive", h.name, label, red)
+			if red := res.Metrics[fmt.Sprintf("reduction/%s/%s", h.Network, label)]; red <= 0 {
+				t.Errorf("%s at %s failed banks: SCM reduction %.3f not positive", h.Network, label, red)
 			}
 		}
-		if infl := res.Metrics[fmt.Sprintf("inflation/%s/0%%", h.name)]; infl != 0 {
-			t.Errorf("%s: fault-free inflation %.4f != 0", h.name, infl)
+		if infl := res.Metrics[fmt.Sprintf("inflation/%s/0%%", h.Network)]; infl != 0 {
+			t.Errorf("%s: fault-free inflation %.4f != 0", h.Network, infl)
 		}
 		for _, s := range []core.Strategy{core.Baseline, core.SCM} {
-			rel := res.Metrics[fmt.Sprintf("adversity-throughput/%s/%s", h.name, s)]
+			rel := res.Metrics[fmt.Sprintf("adversity-throughput/%s/%s", h.Network, s)]
 			if rel <= 0 || rel >= 1 {
-				t.Errorf("%s/%s: adversity throughput ratio %.4f not in (0,1)", h.name, s, rel)
+				t.Errorf("%s/%s: adversity throughput ratio %.4f not in (0,1)", h.Network, s, rel)
 			}
 		}
 	}
@@ -494,7 +494,7 @@ func TestE25CompressionComposesWithMining(t *testing.T) {
 	}
 	for _, ratio := range []string{"1.5", "2", "4"} {
 		for _, h := range headline {
-			key := fmt.Sprintf("%s/r%s", h.name, ratio)
+			key := fmt.Sprintf("%s/r%s", h.Network, ratio)
 			mine := res.Metrics["fmap_mb/"+key+"/mining"]
 			comp := res.Metrics["fmap_mb/"+key+"/compression"]
 			both := res.Metrics["fmap_mb/"+key+"/both"]
