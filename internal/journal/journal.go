@@ -300,13 +300,14 @@ func segments(dir string) ([]int, error) {
 	return idx, nil
 }
 
-// replaySegment reads segment seg of dir. last marks the journal's
-// final segment, where a torn tail (partial or corrupt final record —
-// the signature of a crash mid-write) is truncated in place rather than
-// reported; anywhere else corruption is a classified error. It returns
-// the records, where each one's frame sits, and how many torn records
-// were dropped.
-func replaySegment(dir string, seg int, last bool) ([]Record, []frame, int64, error) {
+// scanSegment reads and decodes segment seg of dir. last marks the
+// journal's final segment, where a torn tail (an unterminated or
+// undecodable final line — the signature of a crash mid-write) ends
+// the scan instead of failing it; anywhere else corruption is a
+// classified error. It returns the records, where each one's frame
+// sits, and the byte offset of the torn tail (-1 when there is none).
+// It never writes: Open truncates at that offset, ReadAll stops there.
+func scanSegment(dir string, seg int, last bool) ([]Record, []frame, int64, error) {
 	path := filepath.Join(dir, segmentName(seg))
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -318,27 +319,18 @@ func replaySegment(dir string, seg int, last bool) ([]Record, []frame, int64, er
 	for offset < len(data) {
 		nl := bytes.IndexByte(data[offset:], '\n')
 		if nl < 0 {
-			// Unterminated final line: a torn write.
 			if !last {
 				return nil, nil, 0, fmt.Errorf("journal: %s: unterminated record at byte %d in non-final segment: %w",
 					filepath.Base(path), offset, ErrFrame)
 			}
-			if err := os.Truncate(path, int64(offset)); err != nil {
-				return nil, nil, 0, fmt.Errorf("journal: truncating torn tail of %s: %w", filepath.Base(path), err)
-			}
-			return recs, frames, 1, nil
+			return recs, frames, int64(offset), nil
 		}
-		line := data[offset : offset+nl]
-		rec, derr := DecodeRecord(line)
+		rec, derr := DecodeRecord(data[offset : offset+nl])
 		if derr != nil {
-			atTail := offset+nl+1 == len(data)
-			if last && atTail {
+			if last && offset+nl+1 == len(data) {
 				// Torn final record (e.g. crash between write and sync
-				// left a half-flushed page): truncate and recover.
-				if err := os.Truncate(path, int64(offset)); err != nil {
-					return nil, nil, 0, fmt.Errorf("journal: truncating torn tail of %s: %w", filepath.Base(path), err)
-				}
-				return recs, frames, 1, nil
+				// left a half-flushed page).
+				return recs, frames, int64(offset), nil
 			}
 			return nil, nil, 0, fmt.Errorf("journal: %s: record at byte %d: %w", filepath.Base(path), offset, derr)
 		}
@@ -346,7 +338,7 @@ func replaySegment(dir string, seg int, last bool) ([]Record, []frame, int64, er
 		frames = append(frames, frame{seg: seg, off: int64(offset), n: int64(nl + 1), seq: rec.Seq})
 		offset += nl + 1
 	}
-	return recs, frames, 0, nil
+	return recs, frames, -1, nil
 }
 
 // Open opens (creating if needed) the journal in dir, replays every
@@ -370,14 +362,19 @@ func Open(dir string, opts Options) (*Journal, []Record, error) {
 	j := &Journal{dir: dir, opts: opts, seg: 0, live: make(map[string]*liveJob)}
 	var recovered []Record
 	for i, n := range idx {
-		recs, frames, torn, err := replaySegment(dir, n, i == len(idx)-1)
+		recs, frames, torn, err := scanSegment(dir, n, i == len(idx)-1)
 		if err != nil {
 			return nil, nil, err
+		}
+		if torn >= 0 {
+			if err := os.Truncate(filepath.Join(dir, segmentName(n)), torn); err != nil {
+				return nil, nil, fmt.Errorf("journal: truncating torn tail of %s: %w", segmentName(n), err)
+			}
+			j.stats.TornRecords++
 		}
 		for k, r := range recs {
 			j.trackLocked(r.Job, r.Op, frames[k])
 		}
-		j.stats.TornRecords += torn
 		recovered = append(recovered, recs...)
 		j.seg = n
 	}
@@ -784,32 +781,11 @@ func ReadAll(dir string) ([]Record, error) {
 	}
 	var out []Record
 	for i, n := range idx {
-		path := filepath.Join(dir, segmentName(n))
-		data, err := os.ReadFile(path)
+		recs, _, _, err := scanSegment(dir, n, i == len(idx)-1)
 		if err != nil {
-			return nil, fmt.Errorf("journal: reading segment: %w", err)
+			return nil, err
 		}
-		last := i == len(idx)-1
-		offset := 0
-		for offset < len(data) {
-			nl := bytes.IndexByte(data[offset:], '\n')
-			if nl < 0 {
-				if !last {
-					return nil, fmt.Errorf("journal: %s: unterminated record in non-final segment: %w",
-						filepath.Base(path), ErrFrame)
-				}
-				return out, nil // torn tail: ignore
-			}
-			rec, derr := DecodeRecord(data[offset : offset+nl])
-			if derr != nil {
-				if last && offset+nl+1 == len(data) {
-					return out, nil // torn final record: ignore
-				}
-				return nil, fmt.Errorf("journal: %s: record at byte %d: %w", filepath.Base(path), offset, derr)
-			}
-			out = append(out, rec)
-			offset += nl + 1
-		}
+		out = append(out, recs...)
 	}
 	return out, nil
 }
