@@ -9,19 +9,15 @@
 //	go run ./cmd/scm-vet -json ./internal/core/
 //	go run ./cmd/scm-vet -checks determinism,nopanic ./...
 //	go run ./cmd/scm-vet -sarif out.sarif ./...
-//	go run ./cmd/scm-vet -write-baseline vet-baseline.txt ./...
-//	go run ./cmd/scm-vet -baseline vet-baseline.txt ./...
 //
 // Patterns are package directories relative to the current directory;
 // "./..." covers the whole module and "./x/..." a subtree.
 //
 // -sarif writes the findings as a SARIF 2.1.0 log alongside the normal
-// output, for GitHub code scanning upload. -baseline suppresses
-// findings recorded in a baseline file (one "file: [check] message"
-// key per line, line numbers ignored so unrelated edits don't churn
-// it); -write-baseline records the current findings in that format and
-// exits 0. Exit status is 0 when clean (or fully baselined), 1 when
-// findings were reported, 2 on usage or load errors.
+// output, for GitHub code scanning upload. An inline scmvet:ok
+// directive is the one way to suppress a finding. Exit status is 0
+// when clean, 1 when findings were reported, 2 on usage or load
+// errors.
 package main
 
 import (
@@ -46,13 +42,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array instead of vet text")
 	checks := fs.String("checks", "", "comma-separated subset of checks to run (default all: "+strings.Join(analysis.AllChecks(), ",")+")")
 	sarifOut := fs.String("sarif", "", "also write findings as a SARIF 2.1.0 log to this file")
-	baseline := fs.String("baseline", "", "suppress findings recorded in this baseline file")
-	writeBaseline := fs.String("write-baseline", "", "record current findings to this baseline file and exit 0")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *baseline != "" && *writeBaseline != "" {
-		fmt.Fprintln(stderr, "scm-vet: -baseline and -write-baseline are mutually exclusive")
 		return 2
 	}
 	patterns := fs.Args()
@@ -104,23 +94,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		findings = filterByDir(findings, prefixes)
 	}
 
-	if *writeBaseline != "" {
-		if err := writeBaselineFile(*writeBaseline, findings); err != nil {
-			fmt.Fprintln(stderr, "scm-vet:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "scm-vet: wrote %d baseline entr%s to %s\n",
-			len(findings), plural(len(findings), "y", "ies"), *writeBaseline)
-		return 0
-	}
-	if *baseline != "" {
-		kept, err := applyBaseline(*baseline, findings)
-		if err != nil {
-			fmt.Fprintln(stderr, "scm-vet:", err)
-			return 2
-		}
-		findings = kept
-	}
 	if *sarifOut != "" {
 		if err := writeSARIF(*sarifOut, findings); err != nil {
 			fmt.Fprintln(stderr, "scm-vet:", err)

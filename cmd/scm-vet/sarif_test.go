@@ -92,81 +92,3 @@ func TestSelfRunSARIF(t *testing.T) {
 		t.Errorf("self-run SARIF should be one empty run, got %+v", log.Runs)
 	}
 }
-
-// TestBaselineRoundTrip: writing a baseline and applying it suppresses
-// exactly the recorded findings, by file/check/message and not line.
-func TestBaselineRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "baseline.txt")
-	if err := writeBaselineFile(path, seededFindings); err != nil {
-		t.Fatal(err)
-	}
-
-	// The duplicate-key pair collapses to one baseline line.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var keys []string
-	for _, line := range strings.Split(string(data), "\n") {
-		if line != "" && !strings.HasPrefix(line, "#") {
-			keys = append(keys, line)
-		}
-	}
-	if len(keys) != 2 {
-		t.Fatalf("baseline keys = %v, want 2", keys)
-	}
-
-	// Same findings on different lines are still suppressed; a new
-	// message is not.
-	moved := []analysis.Finding{
-		{File: "internal/core/sim.go", Line: 900, Col: 1, Check: analysis.CheckDeterminism, Message: "time.Now reads the wall clock"},
-		{File: "internal/serve/engine.go", Line: 5, Col: 5, Check: analysis.CheckLocking, Message: "Engine.jobs is guarded by mu"},
-		{File: "internal/core/sim.go", Line: 7, Col: 1, Check: analysis.CheckNoPanic, Message: "fresh finding"},
-	}
-	kept, err := applyBaseline(path, moved)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kept) != 1 || kept[0].Check != analysis.CheckNoPanic {
-		t.Errorf("kept = %+v, want only the fresh nopanic finding", kept)
-	}
-}
-
-// TestBaselineMissingFile pins the error path.
-func TestBaselineMissingFile(t *testing.T) {
-	if _, err := applyBaseline(filepath.Join(t.TempDir(), "nope.txt"), seededFindings); err == nil {
-		t.Fatal("missing baseline file did not error")
-	}
-}
-
-// TestBaselineFlagsExclusive pins the usage error.
-func TestBaselineFlagsExclusive(t *testing.T) {
-	var stdout, stderr strings.Builder
-	code := run([]string{"-baseline", "a", "-write-baseline", "b", modulePattern(t)}, &stdout, &stderr)
-	if code != 2 {
-		t.Fatalf("exit = %d, want 2", code)
-	}
-	if !strings.Contains(stderr.String(), "mutually exclusive") {
-		t.Errorf("stderr = %q", stderr.String())
-	}
-}
-
-// TestWriteBaselineSelfRun: over the clean module, -write-baseline
-// writes a header-only file and exits 0.
-func TestWriteBaselineSelfRun(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "baseline.txt")
-	var stdout, stderr strings.Builder
-	code := run([]string{"-write-baseline", path, modulePattern(t)}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0\nstderr:\n%s", code, stderr.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if line != "" && !strings.HasPrefix(line, "#") {
-			t.Errorf("clean module baselined a finding: %q", line)
-		}
-	}
-}
