@@ -103,7 +103,7 @@ type simulateReply struct {
 	Stats     *stats.RunStats `json:"stats"`
 	// Trace is the recorded event stream of a "trace":true request,
 	// including the request-level span; feed it to trace.WritePerfetto
-	// (or scm-trace) for a timeline searchable by the request ID.
+	// for a timeline searchable by the request ID.
 	Trace []trace.Event `json:"trace,omitempty"`
 }
 

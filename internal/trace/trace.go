@@ -1,7 +1,7 @@
 // Package trace records the buffer-management decisions of a scheduler
 // run as structured events. Traces make the Shortcut Mining procedures
 // observable — every allocation, role switch, pin, spill, and bank
-// recycle appears in order — and back the scm-trace CLI, which emits
+// recycle appears in order — and back scm-sim -events, which emits
 // them as JSON lines for external tooling.
 package trace
 
@@ -152,8 +152,8 @@ type TimelinePoint struct {
 }
 
 // Timeline extracts the per-layer pool occupancy from a recorded event
-// stream: one point per layer-end event, in execution order. The
-// scm-trace tool renders it as a bar chart; tests use it to assert
+// stream: one point per layer-end event, in execution order. scm-sim
+// -events occupancy renders it as a bar chart; tests use it to assert
 // occupancy shapes (e.g. retention plateaus across shortcut spans).
 func Timeline(events []Event) []TimelinePoint {
 	var out []TimelinePoint
@@ -203,7 +203,8 @@ var allKinds = []Kind{KindLayerStart, KindAlloc, KindRoleSwitch, KindPin, KindUn
 	KindRecycle, KindSpill, KindRefill, KindFree, KindDRAM,
 	KindFault, KindRetry, KindRelocate, KindLayerEnd, KindRequest, KindLink}
 
-// Summarize builds the kind × layer census backing scm-trace -summary.
+// Summarize builds the kind × layer census backing scm-sim -events
+// summary.
 func Summarize(events []Event) Summary {
 	s := Summary{Counts: make(map[string]map[Kind]int)}
 	present := make(map[Kind]bool)
@@ -236,7 +237,7 @@ func Summarize(events []Event) Summary {
 }
 
 // Describe renders an event as a one-line human-readable string (used
-// by the -v mode of scm-trace).
+// by scm-sim -events text).
 func Describe(e Event) string {
 	s := fmt.Sprintf("#%d %s", e.Seq, e.Kind)
 	if e.Cycle != 0 || e.DurCycles != 0 {
