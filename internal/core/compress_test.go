@@ -176,7 +176,7 @@ func TestSnapshotRestoreBitIdenticalCompressed(t *testing.T) {
 			if _, err := r.Suspend(); err != nil {
 				t.Fatalf("%s: suspend at layer %d: %v", strat, r.NextLayer(), err)
 			}
-			snap, err := r.Snapshot()
+			snap, err := r.Snapshot(0)
 			if err != nil {
 				t.Fatalf("%s: snapshot at layer %d: %v", strat, r.NextLayer(), err)
 			}

@@ -107,7 +107,7 @@ func TestRunStepMatchesSimulate(t *testing.T) {
 					if _, err := r.Suspend(); err != nil {
 						return stats.RunStats{}, err
 					}
-					snap, err := r.Snapshot()
+					snap, err := r.Snapshot(0)
 					if err != nil {
 						return stats.RunStats{}, err
 					}
@@ -176,7 +176,7 @@ func TestUnbuiltNetworkRejected(t *testing.T) {
 		if _, err := r.Suspend(); err != nil {
 			t.Fatal(err)
 		}
-		s, err := r.Snapshot()
+		s, err := r.Snapshot(0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -399,8 +399,8 @@ func TestFailedSyncRepair(t *testing.T) {
 
 // TestCompactSelf: compaction works from the journal's own live-set
 // index, including one rebuilt by Open alone — no caller-supplied
-// replay is needed. Of a live job's checkpoints only the newest
-// survives.
+// replay is needed. A live job's checkpoints all survive: each is one
+// link of its chain.
 func TestCompactSelf(t *testing.T) {
 	dir := t.TempDir()
 	j, _, err := Open(dir, Options{SegmentBytes: 128})
@@ -435,8 +435,8 @@ func TestCompactSelf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 3 || recs[0].Op != OpAccepted || recs[1].Layer != 16 || recs[2].Op != OpRunning {
-		t.Fatalf("post-compaction replay = %+v, want live accepted, newest checkpoint, running", recs)
+	if len(recs) != 4 || recs[0].Op != OpAccepted || recs[1].Layer != 8 || recs[2].Layer != 16 || recs[3].Op != OpRunning {
+		t.Fatalf("post-compaction replay = %+v, want live accepted, both checkpoints, running", recs)
 	}
 }
 
@@ -544,32 +544,23 @@ func TestReadAllNonDestructive(t *testing.T) {
 	}
 }
 
-// referenceCompact is the compaction policy as the serve engine applied
-// it to a full replay before the journal indexed its own live set: a
-// job whose lifecycle reached a terminal op contributes nothing, and of
-// a live job's checkpoints only the newest survives. Every other record
+// referenceCompact is the compaction policy applied to a full replay: a
+// job whose lifecycle reached a terminal op contributes nothing, and
+// every record of a live job, each checkpoint of its chain included,
 // keeps its order and sequence number. Compact must leave exactly
 // EncodeRecord of its output on disk.
 func referenceCompact(recs []Record) []Record {
 	terminal := make(map[string]bool)
-	newestCkpt := make(map[string]uint64)
 	for _, r := range recs {
 		if r.Op.Terminal() {
 			terminal[r.Job] = true
 		}
-		if r.Op == OpCheckpoint && r.Seq >= newestCkpt[r.Job] {
-			newestCkpt[r.Job] = r.Seq
-		}
 	}
 	var out []Record
 	for _, r := range recs {
-		if terminal[r.Job] {
-			continue
+		if !terminal[r.Job] {
+			out = append(out, r)
 		}
-		if r.Op == OpCheckpoint && r.Seq != newestCkpt[r.Job] {
-			continue
-		}
-		out = append(out, r)
 	}
 	return out
 }
@@ -832,9 +823,8 @@ func goldenHistory(t *testing.T) *history {
 }
 
 // TestCompactGolden: the compacted segment of a fixed seeded history is
-// byte-identical to testdata/compacted.golden, which the implementation
-// before the live-set index wrote for the same history (a full replay
-// under the lock, the reference policy, every survivor re-encoded).
+// byte-identical to testdata/compacted.golden, EncodeRecord of the
+// reference policy applied to the same history's full replay.
 func TestCompactGolden(t *testing.T) {
 	h := goldenHistory(t)
 	defer h.j.Close()
@@ -850,10 +840,10 @@ func TestCompactGolden(t *testing.T) {
 // BenchmarkCompact times one Compact of a 512-record history whose only
 // live work is two in-flight resnet34-sized simulate jobs. A job is an
 // accepted request, running, a checkpoint every 8 of its 56 layers
-// (the snapshot carries every finished layer's stats, so it grows by
-// about 340 bytes a layer from 1.2 KB), and a terminal op. The history
-// is 55 finished jobs, one job canceled before it ran, and the two
-// live jobs, checkpointed up to layers 48 and 40.
+// (each carries the run state, about 1.2 KB, and the stats of the 8
+// layers since the previous one, about 340 bytes each), and a terminal
+// op. The history is 55 finished jobs, one job canceled before it ran,
+// and the two live jobs, checkpointed up to layers 48 and 40.
 func BenchmarkCompact(b *testing.B) {
 	tmpl := b.TempDir()
 	j, _, err := Open(tmpl, Options{Now: fakeClock()})
@@ -868,7 +858,7 @@ func BenchmarkCompact(b *testing.B) {
 		}
 		mustAppend(b, j, Record{Job: id, Op: OpRunning})
 		for l := 8; l <= lastLayer; l += 8 {
-			mustAppend(b, j, Record{Job: id, Op: OpCheckpoint, Layer: l, Payload: payload(1200 + 340*l)})
+			mustAppend(b, j, Record{Job: id, Op: OpCheckpoint, Layer: l, Payload: payload(1200 + 340*8)})
 		}
 		if end != "" {
 			mustAppend(b, j, Record{Job: id, Op: end})

@@ -222,23 +222,30 @@ func TestCheckpointedRunBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var checkpoints int
+	// Every prefix of the checkpoint chain folds into a snapshot that
+	// validates against the network.
+	var chain []*core.RunSnapshot
 	for _, rec := range recordsFor(recs, j.ID()) {
 		if rec.Op != journal.OpCheckpoint {
 			continue
 		}
-		checkpoints++
 		if rec.Layer <= 0 || rec.Payload == nil {
 			t.Fatalf("checkpoint record missing layer or payload: %+v", rec)
 		}
-		var snap core.RunSnapshot
+		var snap *core.RunSnapshot
 		if err := json.Unmarshal(rec.Payload, &snap); err != nil {
 			t.Fatalf("checkpoint payload: %v", err)
 		}
-		if err := snap.Validate(req.Net); err != nil {
-			t.Fatalf("checkpoint snapshot invalid: %v", err)
+		chain = append(chain, snap)
+		folded, err := core.FoldSnapshots(chain)
+		if err != nil {
+			t.Fatalf("checkpoint chain of %d links: %v", len(chain), err)
+		}
+		if err := folded.Validate(req.Net); err != nil {
+			t.Fatalf("checkpoint chain of %d links invalid: %v", len(chain), err)
 		}
 	}
+	checkpoints := len(chain)
 	if checkpoints < 2 {
 		t.Errorf("checkpoint records = %d, want >= 2 (K=2 on resnet18)", checkpoints)
 	}
@@ -298,7 +305,7 @@ func TestRecoverClassifiesEveryJob(t *testing.T) {
 	if _, err := r.Suspend(); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := r.Snapshot()
+	snap, err := r.Snapshot(0)
 	if err != nil {
 		t.Fatal(err)
 	}

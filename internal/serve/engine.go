@@ -90,9 +90,10 @@ type Options struct {
 	CheckpointLayers int
 	// CompactEvery, with Journal set, compacts the journal in the
 	// background after this many acknowledged appends: terminal jobs'
-	// records are dropped and only each live job's newest checkpoint
-	// survives, so a long-running server's journal is bounded by its
-	// live work, not its history (Recover compacts once more at boot).
+	// records are dropped and each live job's records, checkpoint chain
+	// included, survive, so a long-running server's journal is bounded
+	// by its live work, not its history (Recover compacts once more at
+	// boot).
 	// <= 0 means 512.
 	CompactEvery int
 	// Chaos injects serving-layer faults (journal I/O errors, worker
@@ -404,9 +405,9 @@ func (e *Engine) SimulateTraced(ctx context.Context, req Request) (stats.RunStat
 
 // runSimulate is the simulate row's run: a cache hit finishes at once;
 // otherwise the simulation runs, checkpointed when the job is eligible
-// or continuing snap (crash recovery), and its result lands in the
-// cache.
-func (e *Engine) runSimulate(ctx context.Context, j *Job, req Request, snap *core.RunSnapshot) (View, error) {
+// or continuing resumed (a run crash recovery restored), and its result
+// lands in the cache.
+func (e *Engine) runSimulate(ctx context.Context, j *Job, req Request, resumed *core.Run) (View, error) {
 	key, err := RequestKey(req)
 	if err != nil { // re-validated; the submit path already checked
 		return View{}, err
@@ -417,8 +418,8 @@ func (e *Engine) runSimulate(ctx context.Context, j *Job, req Request, snap *cor
 	}
 	e.mCacheMisses.Inc()
 	res, err := timed(e, func() (stats.RunStats, error) {
-		if snap != nil || e.checkpointable(req) {
-			return e.runCheckpointed(ctx, req, j, snap)
+		if resumed != nil || e.checkpointable(req) {
+			return e.runCheckpointed(ctx, req, j, resumed)
 		}
 		return e.simFn(ctx, req)
 	})
@@ -678,7 +679,7 @@ func (e *Engine) syncGauges() {
 		e.reg.Gauge("scm_journal_compactions", "journal compactions, boot-time and runtime").Set(float64(js.Compactions))
 		e.reg.Gauge("scm_journal_segments", "journal segments on disk").Set(float64(js.Segments))
 		e.reg.Gauge("scm_journal_bytes", "journal bytes on disk").Set(float64(js.Bytes))
-		e.reg.Gauge("scm_journal_live_records", "journal records a compaction keeps: live jobs' lifecycle records and newest checkpoints").Set(float64(js.LiveRecords))
+		e.reg.Gauge("scm_journal_live_records", "journal records a compaction keeps: live jobs' lifecycle records and checkpoint chains").Set(float64(js.LiveRecords))
 		e.reg.Gauge("scm_journal_live_bytes", "journal bytes a compaction keeps").Set(float64(js.LiveBytes))
 	}
 }

@@ -239,29 +239,16 @@ func TestGoldenRecovery(t *testing.T) {
 	// j000004: accepted simulate — requeued.
 	add(journal.Record{Job: "j000004", Op: journal.OpAccepted, Kind: "simulate", RequestID: "r4", Payload: acceptedPayload(t, simulateKind, simB)})
 	// j000005: running simulate with a mid-network checkpoint — resumed.
-	r, err := core.NewRun(simA.Net, simA.Cfg, simA.Strategy, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r.NextLayer() < 3 {
-		if _, err := r.Step(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := r.Suspend(); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := r.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapBytes, err := json.Marshal(snap)
+	// The checkpoint is a whole version 1 snapshot of simA at layer 3,
+	// as the build before delta checkpoints journaled it: recovery must
+	// still resume from one, and chain its own checkpoints onto it.
+	snapBytes, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v1.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	add(journal.Record{Job: "j000005", Op: journal.OpAccepted, Kind: "simulate", RequestID: "r5", Payload: acceptedPayload(t, simulateKind, simA)})
 	add(journal.Record{Job: "j000005", Op: journal.OpRunning, Kind: "simulate", RequestID: "r5"})
-	add(journal.Record{Job: "j000005", Op: journal.OpCheckpoint, Kind: "simulate", RequestID: "r5", Layer: snap.Next, Payload: snapBytes})
+	add(journal.Record{Job: "j000005", Op: journal.OpCheckpoint, Kind: "simulate", RequestID: "r5", Layer: 3, Payload: snapBytes})
 	// j000006..j000008: accepted sweep, schedule, cluster — requeued.
 	add(journal.Record{Job: "j000006", Op: journal.OpAccepted, Kind: "sweep", RequestID: "r6",
 		Payload: acceptedPayload(t, sweepKind, SweepRequest{Net: dc, Base: core.Default(), Space: goldenSpace, Parallel: 1, Pareto: true})})
