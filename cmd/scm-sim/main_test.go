@@ -144,6 +144,9 @@ func TestModeErrors(t *testing.T) {
 		"-strategy scm -trace - -events text",
 		"-strategy scm -trace - -json",
 		"-strategy scm -kinds pin",
+		"-strategy scm -events text -kinds bogus",
+		"-strategy scm -events text -kinds Pin",
+		"-strategy scm -trace out.json -kinds pin,bogus",
 	} {
 		var stdout, stderr strings.Builder
 		args := append(strings.Fields(c), "-graph", filepath.Join(t.TempDir(), "missing.json"))

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Kind enumerates event types.
@@ -202,6 +203,10 @@ type Summary struct {
 var allKinds = []Kind{KindLayerStart, KindAlloc, KindRoleSwitch, KindPin, KindUnpin,
 	KindRecycle, KindSpill, KindRefill, KindFree, KindDRAM,
 	KindFault, KindRetry, KindRelocate, KindLayerEnd, KindRequest, KindLink}
+
+// Kinds lists every kind the simulator and the serving tier emit, in
+// lifecycle order.
+func Kinds() []Kind { return slices.Clone(allKinds) }
 
 // Summarize builds the kind × layer census backing scm-sim -events
 // summary.
