@@ -143,8 +143,9 @@ func NewHandler(e *Engine) http.Handler {
 	return withRequestID(e, mux)
 }
 
-// bufs recycles the scratch buffers replies and network keys are
-// encoded into and Cache.Put sizes entries in; bodies recycles the
+// bufs recycles the scratch buffers replies, network keys and
+// checkpoint snapshots are encoded into and Cache.Put sizes entries
+// in; bodies recycles the
 // buffers request bodies are read into, which are far smaller than a
 // reply.
 var (
