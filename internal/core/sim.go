@@ -124,6 +124,10 @@ type executor struct {
 	residents []resident   // one per layer, indexed by producer
 	recycle   []recyclable // recyclables' scratch
 	run       stats.RunStats
+
+	// platform caches platformHash(cfg) for Snapshot, so a run's chain
+	// of snapshots hashes its platform once; "" until first needed.
+	platform string
 }
 
 // newExecutor builds the platform half of an executor (pool, channel,
