@@ -86,6 +86,9 @@ type sweepBody struct {
 // cluster scenario must carry chips>1 (plus optional topo=, place=,
 // linkgbps=, hoplat= clauses); a schedule scenario at most one chip.
 type scenarioBody struct {
+	// Config overrides platform fields, like in /v1/simulate. It comes
+	// first so a journaled document reads {"config":…,"scenario":…}.
+	Config json.RawMessage `json:"config,omitempty"`
 	// Spec is the compact scheduling grammar, e.g.
 	// "seed=7;policy=rr;stream=resnet34:n=4,gap=2000000;stream=squeezenet:n=6,gap=500000,poisson"
 	// or "seed=7;chips=4;topo=mesh;place=affinity;stream=resnet34:n=4,gap=2000000".
@@ -93,8 +96,6 @@ type scenarioBody struct {
 	// Scenario is the structured alternative to Spec. Exactly one of
 	// the two must be set.
 	Scenario *sched.Spec `json:"scenario,omitempty"`
-	// Config overrides platform fields, like in /v1/simulate.
-	Config json.RawMessage `json:"config,omitempty"`
 }
 
 type simulateReply struct {
