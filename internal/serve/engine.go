@@ -67,10 +67,6 @@ type Options struct {
 	// MaxJobs bounds the finished-job history kept for GET /v1/jobs;
 	// <= 0 means 1024.
 	MaxJobs int
-	// JobPrefix namespaces this engine's job IDs ("" means "j", as in
-	// "j000001"). Recovery resumes the counter after whatever prefix
-	// the journal's IDs carry.
-	JobPrefix string
 	// JobTTL evicts terminal jobs from the history this long after they
 	// finish (measured on Clock); 0 keeps them until MaxJobs pushes
 	// them out. MaxJobs stays in force as the backstop either way.

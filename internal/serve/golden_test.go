@@ -187,8 +187,10 @@ func TestGoldenJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A checkpointing engine over the same journal (its own ID prefix).
-	ck := NewEngine(Options{Workers: 1, Journal: jnl, Clock: goldenClock, CheckpointLayers: 2, JobPrefix: "k", CompactEvery: 1 << 30})
+	// A checkpointing engine over the same journal, continuing the
+	// first engine's job IDs.
+	ck := NewEngine(Options{Workers: 1, Journal: jnl, Clock: goldenClock, CheckpointLayers: 2, CompactEvery: 1 << 30})
+	ck.seq = e.seq
 	await(ck.SubmitSimulate(Request{Net: dc, Cfg: core.Default(), Strategy: core.SCM, RequestID: "golden-checkpointed"}))
 	if err := ck.Drain(context.Background()); err != nil {
 		t.Fatal(err)
