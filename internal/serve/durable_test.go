@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -796,5 +797,127 @@ func TestChaosJournalIODegradation(t *testing.T) {
 	clk.Advance(2 * time.Minute)
 	if status, _ := e.Health(); status != "ok" {
 		t.Errorf("health after the error window = %q, want ok", status)
+	}
+}
+
+// TestJournaledJobReplays: an accepted record's payload is the request
+// document its route accepts. Every accepted payload in journal.golden,
+// posted to its kind's route on a journaled engine, is journaled again
+// byte for byte. A simulate document runs synchronously unless it asks
+// for async, so the replay adds "async":true, which no payload carries.
+func TestJournaledJobReplays(t *testing.T) {
+	jnl, dir := openTestJournal(t, journal.Options{})
+	e := NewEngine(Options{Workers: 1, Journal: jnl})
+	srv := httptest.NewServer(NewHandler(e))
+	defer srv.Close()
+
+	want := make(map[string][]byte) // new job ID → original payload
+	for _, rec := range goldenAccepted(t) {
+		body := string(rec.Payload)
+		if rec.Kind == "simulate" {
+			body = strings.TrimSuffix(body, "}") + `,"async":true}`
+		}
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/"+rec.Kind, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(RequestIDHeader, rec.RequestID)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reply jobReply
+		err = json.NewDecoder(resp.Body).Decode(&reply)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s %s: status %d, reply %+v, %v", rec.Job, rec.Kind, resp.StatusCode, reply, err)
+		}
+		want[reply.Job] = rec.Payload
+	}
+	if err := e.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := journal.ReadAll(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, payload := range want {
+		trail := recordsFor(recs, id)
+		if len(trail) == 0 || trail[0].Op != journal.OpAccepted {
+			t.Fatalf("%s: no accepted record in %+v", id, trail)
+		}
+		if !bytes.Equal(trail[0].Payload, payload) {
+			t.Errorf("%s: replayed payload differs:\n got %s\nwant %s", id, trail[0].Payload, payload)
+		}
+	}
+}
+
+// TestRecoverReadsRouteDocuments: recovery reads an accepted payload as
+// its route reads a body. A sweep document without a space sweeps
+// dse.DefaultSpace, and a simulate document may name a zoo network.
+func TestRecoverReadsRouteDocuments(t *testing.T) {
+	dir := t.TempDir()
+	jnl1, _, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb, err := netDoc(engineRequest(t, 1).Net, core.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep, err := json.Marshal(sweepBody{netBody: nb, Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []journal.Record{
+		{Job: "j000001", Op: journal.OpAccepted, Kind: "sweep", Payload: sweep},
+		{Job: "j000002", Op: journal.OpAccepted, Kind: "simulate", Payload: []byte(`{"network":"densechain","strategy":"baseline"}`)},
+	} {
+		if err := jnl1.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jnl1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	jnl2, recs, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(Options{Workers: 1, Journal: jnl2})
+	defer func() {
+		e.Drain(context.Background())
+		jnl2.Close()
+	}()
+	report, err := e.Recover(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Requeued != 2 || report.Interrupted != 0 {
+		t.Fatalf("report = %+v, want 2 requeued", report)
+	}
+	views := make([]View, 2)
+	for i, id := range []string{"j000001", "j000002"} {
+		j, ok := e.Job(id)
+		if !ok {
+			t.Fatalf("job %s lost", id)
+		}
+		<-j.Done()
+		if views[i] = j.View(); views[i].State != JobDone {
+			t.Fatalf("job %s ended %s: %s", id, views[i].State, views[i].Error)
+		}
+	}
+	if got, want := len(views[0].Outcomes), dse.DefaultSpace().Size(); got != want {
+		t.Errorf("sweep without a space: %d outcomes, want the default space's %d", got, want)
+	}
+	want := goldenNet(t, "densechain").Name
+	if s := views[1].Stats; s == nil {
+		t.Error("zoo simulate has no stats")
+	} else if s.Network != want || s.Strategy != "baseline" {
+		t.Errorf("zoo simulate ran %s/%s, want %s/baseline", s.Network, s.Strategy, want)
 	}
 }
