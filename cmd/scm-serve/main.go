@@ -8,6 +8,7 @@
 //	POST /v1/simulate   one simulation (sync by default; "async":true → 202 + job id)
 //	POST /v1/sweep      asynchronous design-space sweep
 //	POST /v1/schedule   asynchronous multi-tenant scheduling run (202 + job id)
+//	POST /v1/cluster    asynchronous multi-chip sharded scheduling run (202 + job id)
 //	GET  /v1/jobs/{id}  job status and result
 //	GET  /healthz       liveness and drain status
 //	GET  /metrics       Prometheus text format
