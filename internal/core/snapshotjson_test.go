@@ -114,3 +114,21 @@ func TestSnapshotAppendJSONMatchesReflection(t *testing.T) {
 		t.Errorf("AppendJSON of a NaN = %q, %v; want dst unextended and an error", got, err)
 	}
 }
+
+// BenchmarkSnapshotAppendJSON encodes every link of a resnet152
+// checkpoint chain at eight layers per link into a reused buffer: the
+// checkpoint payloads of one durable simulate job.
+func BenchmarkSnapshotAppendJSON(b *testing.B) {
+	net := nn.MustBuild("resnet152")
+	chain := snapshotChain(b, net, Default(), SCM, 8, len(net.Layers))
+	var buf []byte
+	var err error
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, link := range chain {
+			if buf, err = link.AppendJSON(buf[:0]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
 	"sync"
 
 	"shortcutmining/internal/canonjson"
@@ -283,40 +282,44 @@ func EncodeJSON(w io.Writer, n *Network) error {
 // document, written without reflection. On an error dst comes back
 // unextended.
 func AppendJSON(dst []byte, n *Network) ([]byte, error) {
-	start := len(dst)
-	dst = append(dst, "{\n  \"name\": "...)
-	dst = jsonindent.AppendString(dst, n.Name)
-	dst = append(dst, ",\n  \"input\": {\n    \"c\": "...)
-	dst = strconv.AppendInt(dst, int64(n.InputShape.C), 10)
-	dst = append(dst, ",\n    \"h\": "...)
-	dst = strconv.AppendInt(dst, int64(n.InputShape.H), 10)
-	dst = append(dst, ",\n    \"w\": "...)
-	dst = strconv.AppendInt(dst, int64(n.InputShape.W), 10)
-	dst = append(dst, "\n  },\n  \"layers\": "...)
-	sep := "[\n    {"
+	w := jsonindent.NewWriter(dst, "", "  ")
+	w.Open('{')
+	w.Key("name").String(n.Name)
+	w.Key("input").Open('{')
+	w.Key("c").Int(int64(n.InputShape.C))
+	w.Key("h").Int(int64(n.InputShape.H))
+	w.Key("w").Int(int64(n.InputShape.W))
+	w.Close('}')
+	w.Key("layers")
+	layers := false
 	for _, l := range n.Layers {
 		if l.Kind == OpInput {
 			continue
 		}
-		dst = append(dst, sep...)
-		sep = ",\n    {"
-		var err error
-		if dst, err = appendLayer(dst, l); err != nil {
-			return dst[:start], err
+		if !layers {
+			w.Open('[')
+			layers = true
 		}
-		dst = append(dst, "\n    }"...)
+		if err := writeLayer(w.Next(), l); err != nil {
+			return dst, err
+		}
 	}
-	if sep == "[\n    {" {
-		dst = append(dst, "null"...)
+	if layers {
+		w.Close(']')
 	} else {
-		dst = append(dst, "\n  ]"...)
+		w.Null()
 	}
-	return append(dst, "\n}\n"...), nil
+	w.Close('}')
+	b, err := w.Bytes()
+	if err != nil {
+		return dst, err
+	}
+	return append(b, '\n'), nil
 }
 
-// appendLayer appends the members of l's jsonLayer, omitting the empty
-// ones its omitempty tags omit.
-func appendLayer(dst []byte, l *Layer) ([]byte, error) {
+// writeLayer writes l's jsonLayer, omitting the empty members its
+// omitempty tags omit.
+func writeLayer(w *jsonindent.Writer, l *Layer) error {
 	var op string
 	outC, k, stride, pad, groups, pool := 0, 0, 0, 0, 0, ""
 	switch l.Kind {
@@ -338,55 +341,28 @@ func appendLayer(dst []byte, l *Layer) ([]byte, error) {
 	case OpConcat:
 		op = "concat"
 	default:
-		return dst, fmt.Errorf("nn: cannot encode op %v", l.Kind)
+		return fmt.Errorf("nn: cannot encode op %v", l.Kind)
 	}
-	dst = appendKey(dst, "name")
-	dst = jsonindent.AppendString(dst, l.Name)
-	dst = append(dst, ',')
-	dst = appendKey(dst, "op")
-	dst = jsonindent.AppendString(dst, op)
+	w.Open('{')
+	w.Key("name").String(l.Name)
+	w.Key("op").String(op)
 	if len(l.Inputs) > 0 {
-		dst = append(dst, ',')
-		dst = appendKey(dst, "inputs")
-		for i, in := range l.Inputs {
-			if i == 0 {
-				dst = append(dst, "[\n        "...)
-			} else {
-				dst = append(dst, ",\n        "...)
-			}
-			dst = jsonindent.AppendString(dst, in)
+		w.Key("inputs").Strings(l.Inputs)
+	}
+	if l.Stage != "" {
+		w.Key("stage").String(l.Stage)
+	}
+	for _, m := range [...]struct {
+		key string
+		v   int
+	}{{"out_channels", outC}, {"kernel", k}, {"stride", stride}, {"pad", pad}, {"groups", groups}} {
+		if m.v != 0 {
+			w.Key(m.key).Int(int64(m.v))
 		}
-		dst = append(dst, "\n      ]"...)
 	}
-	dst = appendStringMember(dst, "stage", l.Stage)
-	dst = appendIntMember(dst, "out_channels", outC)
-	dst = appendIntMember(dst, "kernel", k)
-	dst = appendIntMember(dst, "stride", stride)
-	dst = appendIntMember(dst, "pad", pad)
-	dst = appendIntMember(dst, "groups", groups)
-	return appendStringMember(dst, "pool", pool), nil
-}
-
-// appendKey starts a layer member: a new line at the member depth, the
-// key and the colon.
-func appendKey(dst []byte, key string) []byte {
-	dst = append(dst, "\n      \""...)
-	dst = append(dst, key...)
-	return append(dst, "\": "...)
-}
-
-// appendStringMember appends ", key: s" unless s is empty.
-func appendStringMember(dst []byte, key, s string) []byte {
-	if s == "" {
-		return dst
+	if pool != "" {
+		w.Key("pool").String(pool)
 	}
-	return jsonindent.AppendString(appendKey(append(dst, ','), key), s)
-}
-
-// appendIntMember appends ", key: v" unless v is zero.
-func appendIntMember(dst []byte, key string, v int) []byte {
-	if v == 0 {
-		return dst
-	}
-	return strconv.AppendInt(appendKey(append(dst, ','), key), int64(v), 10)
+	w.Close('}')
+	return nil
 }

@@ -368,3 +368,21 @@ func TestAppendJSONUnknownOp(t *testing.T) {
 		t.Errorf("AppendJSON = %q, %v; want \"keep\" and an error", got, err)
 	}
 }
+
+// BenchmarkAppendJSON encodes resnet152, the largest zoo graph, into a
+// reused buffer: the bytes a cache key hashes and an accepted record
+// carries.
+func BenchmarkAppendJSON(b *testing.B) {
+	n := MustBuild("resnet152")
+	buf, err := AppendJSON(nil, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if buf, err = AppendJSON(buf[:0], n); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

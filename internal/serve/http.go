@@ -10,7 +10,6 @@ import (
 	"math"
 	"net/http"
 	"slices"
-	"strconv"
 	"sync"
 	"time"
 
@@ -189,23 +188,25 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 // writeSimulateReply writes the untraced simulate reply, byte for byte
 // what writeJSON(simulateReply{…}) writes, with the stats encoded by
-// RunStats.AppendJSON straight into a pooled buffer.
+// RunStats.WriteJSON straight into a pooled buffer.
 func writeSimulateReply(w http.ResponseWriter, cached bool, reqID string, res *stats.RunStats) {
 	p := bufs.Get().(*[]byte)
 	defer putBuf(p)
-	b := append((*p)[:0], "{\n  \"cached\": "...)
-	b = strconv.AppendBool(b, cached)
+	jw := jsonindent.NewWriter((*p)[:0], "", "  ")
+	jw.Open('{')
+	jw.Key("cached").Bool(cached)
 	if reqID != "" {
-		b = append(b, ",\n  \"request_id\": "...)
-		b = jsonindent.AppendString(b, reqID)
+		jw.Key("request_id").String(reqID)
 	}
-	b = append(b, ",\n  \"stats\": "...)
-	b, err := res.AppendJSON(b, "  ", "  ")
+	jw.Key("stats")
+	res.WriteJSON(&jw)
+	jw.Close('}')
+	b, err := jw.Bytes()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding reply: %w", err))
 		return
 	}
-	*p = append(b, "\n}\n"...)
+	*p = append(b, '\n')
 	writeBody(w, http.StatusOK, *p)
 }
 

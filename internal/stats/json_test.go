@@ -258,3 +258,23 @@ func FuzzRunStatsJSON(f *testing.F) {
 		checkEncodings(t, stats.RunStats(p))
 	})
 }
+
+// BenchmarkAppendJSON encodes a resnet152 result into a reused buffer,
+// compact (the cached form) and indented at a reply's depth.
+func BenchmarkAppendJSON(b *testing.B) {
+	s, err := core.Simulate(nn.MustBuild("resnet152"), core.Default(), core.SCM, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct{ name, prefix, indent string }{{"compact", "", ""}, {"indented", "  ", "  "}} {
+		b.Run(c.name, func(b *testing.B) {
+			var buf []byte
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if buf, err = s.AppendJSON(buf[:0], c.prefix, c.indent); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
