@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -105,6 +107,9 @@ func TestEncodeError(t *testing.T) {
 
 // FuzzIndent checks the indenting pass against json.Indent on the
 // compact form of every valid document, with and without a prefix.
+// It also decodes each document into any and writes it again through a
+// Writer, which must match json.Marshal compact and AppendIndent of
+// that indented.
 func FuzzIndent(f *testing.F) {
 	for _, v := range values(f) {
 		b, err := json.Marshal(v)
@@ -139,7 +144,67 @@ func FuzzIndent(f *testing.F) {
 				t.Fatalf("prefix %q: indent of %q\n got: %q\nwant: %q", prefix, src.Bytes(), got, w.Bytes())
 			}
 		}
+
+		var v any
+		if json.Unmarshal(data, &v) != nil {
+			return // valid JSON whose number overflows a float64
+		}
+		compact, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, layout := range [][2]string{{"", ""}, {"", "  "}, {"> ", "  "}, {"\t", "\t"}} {
+			prefix, indent := layout[0], layout[1]
+			want := compact
+			if indent != "" {
+				want = jsonindent.AppendIndent(nil, compact, prefix, indent)
+			}
+			w := jsonindent.NewWriter([]byte("head"), prefix, indent)
+			writeValue(&w, v)
+			got, err := w.Bytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got[4:], want) || string(got[:4]) != "head" {
+				t.Fatalf("prefix %q indent %q: Writer of %q\n got: %q\nwant: %q", prefix, indent, data, got, want)
+			}
+		}
 	})
+}
+
+// writeValue writes v, as json.Unmarshal decodes it into any, through
+// w, with object keys in json.Marshal's sorted order.
+func writeValue(w *jsonindent.Writer, v any) {
+	switch v := v.(type) {
+	case nil:
+		w.Null()
+	case bool:
+		w.Bool(v)
+	case float64:
+		w.Float(v)
+	case string:
+		w.String(v)
+	case []any:
+		w.Open('[')
+		for _, e := range v {
+			writeValue(w.Next(), e)
+		}
+		w.Close(']')
+	case map[string]any:
+		keys := make([]string, 0, len(v))
+		for k := range v {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		w.Open('{')
+		for _, k := range keys {
+			q := jsonindent.AppendString(nil, k)
+			writeValue(w.Key(string(q[1:len(q)-1])), v[k])
+		}
+		w.Close('}')
+	default:
+		panic(fmt.Sprintf("writeValue: %T", v))
+	}
 }
 
 // BenchmarkEncode times a resnet34 RunStats, the size of a typical
