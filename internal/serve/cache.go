@@ -59,6 +59,9 @@ type Request struct {
 	// decodeSimulate. A request whose name already has a memoized hash
 	// state carries no Net until a run needs it (built).
 	zoo string
+	// key is RequestKey's result, set by the simulate row's check so
+	// an async job hashes its request once.
+	key Key
 }
 
 // zooHashes maps a zoo name to the SHA-256 state after its network's

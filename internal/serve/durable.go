@@ -200,7 +200,7 @@ func decodePayload(accepted *journal.Record) (*jobKind, any, error) {
 	}
 	req, err := k.body(bytes.NewReader(accepted.Payload), accepted.RequestID)
 	if err == nil {
-		err = k.check(req)
+		req, err = k.check(req)
 	}
 	return k, req, err
 }

@@ -399,16 +399,13 @@ func (e *Engine) SimulateTraced(ctx context.Context, req Request) (stats.RunStat
 	return res, buf.Events, nil
 }
 
-// runSimulate is the simulate row's run: a cache hit finishes at once;
-// otherwise the simulation runs, checkpointed when the job is eligible
-// or continuing resumed (a run crash recovery restored), and its result
-// lands in the cache.
+// runSimulate is the simulate row's run of a checked request: a cache
+// hit finishes at once; otherwise the simulation runs, checkpointed
+// when the job is eligible or continuing resumed (a run crash recovery
+// restored), and its result lands in the cache under the key check
+// computed.
 func (e *Engine) runSimulate(ctx context.Context, j *Job, req Request, resumed *core.Run) (View, error) {
-	key, err := RequestKey(req)
-	if err != nil { // re-validated; the submit path already checked
-		return View{}, err
-	}
-	if res, ok := e.cache.Get(key); ok {
+	if res, ok := e.cache.Get(req.key); ok {
 		e.mCacheHits.Inc()
 		return View{Stats: &res, Cached: true}, nil
 	}
@@ -420,7 +417,7 @@ func (e *Engine) runSimulate(ctx context.Context, j *Job, req Request, resumed *
 		return e.simFn(ctx, req)
 	})
 	if err == nil {
-		e.cache.Put(key, res)
+		e.cache.Put(req.key, res)
 	}
 	return View{Stats: &res}, err
 }
@@ -498,13 +495,13 @@ func (e invalidError) Unwrap() error { return e.error }
 // submit is the one submission path: req is checked against its kind,
 // given a job, encoded as the journaled accepted payload, and admitted.
 func (e *Engine) submit(k *jobKind, req any, reqID string) (*Job, error) {
-	if err := k.check(req); err != nil {
+	req, err := k.check(req)
+	if err != nil {
 		return nil, invalidError{err}
 	}
 	j := e.newJob(k.name, reqID)
 	var payload []byte
 	if e.opts.Journal != nil {
-		var err error
 		if payload, err = encodePayload(k, req); err != nil {
 			return nil, err
 		}

@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
+	"net/http"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -237,6 +239,33 @@ func TestSubmitSimulateAsync(t *testing.T) {
 	<-j2.Done()
 	if v := j2.View(); v.State != JobDone || !v.Cached {
 		t.Errorf("resubmitted job view = %+v, want cached", v)
+	}
+}
+
+// TestSubmitSimulateUnkeyableIsInvalid: a simulate request RequestKey
+// refuses fails at submit as a bad request (HTTP 400), and no job is
+// registered for it.
+func TestSubmitSimulateUnkeyableIsInvalid(t *testing.T) {
+	e := NewEngine(Options{Workers: 1})
+	defer e.Drain(context.Background())
+	nanCfg := core.Default()
+	nanCfg.WeightBandwidthGBps = math.NaN()
+	for name, req := range map[string]Request{
+		"no network":    {Cfg: core.Default()},
+		"NaN in config": {Net: nn.MustBuild("densechain"), Cfg: nanCfg},
+	} {
+		if _, err := RequestKey(req); err == nil {
+			t.Fatalf("%s: RequestKey accepted the request", name)
+		}
+		j, err := e.SubmitSimulate(req)
+		if j != nil || !errors.As(err, new(invalidError)) || statusFor(err) != http.StatusBadRequest {
+			t.Errorf("%s: SubmitSimulate = %v, %v (status %d); want an invalidError, HTTP 400", name, j, err, statusFor(err))
+		}
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if n := len(e.jobOrder); n != 0 {
+		t.Errorf("%d jobs registered for refused requests", n)
 	}
 }
 

@@ -204,9 +204,9 @@ type jobKind struct {
 	// accepted payload, into a request carrying the correlation ID
 	// reqID.
 	body func(r io.Reader, reqID string) (any, error)
-	// check validates a request at submit time and at recovery; a
-	// failure is a bad request (HTTP 400).
-	check func(req any) error
+	// check validates a request at submit time and at recovery and
+	// returns it ready for run; a failure is a bad request (HTTP 400).
+	check func(req any) (any, error)
 	// doc renders a request as the route's document, which body reads
 	// back; the accepted record journals it.
 	doc func(req any) (any, error)
@@ -225,9 +225,11 @@ var (
 			}
 			return req.built()
 		},
-		check: func(req any) error {
-			_, err := RequestKey(req.(Request))
-			return err
+		check: func(req any) (any, error) {
+			r := req.(Request)
+			var err error
+			r.key, err = RequestKey(r)
+			return r, err
 		},
 		doc: func(req any) (any, error) {
 			r := req.(Request)
@@ -256,15 +258,15 @@ var (
 			}
 			return SweepRequest{Net: net, Base: cfg, Space: space, Parallel: b.Parallel, Pareto: b.Pareto, RequestID: reqID}, nil
 		},
-		check: func(req any) error {
+		check: func(req any) (any, error) {
 			r := req.(SweepRequest)
 			if r.Net == nil {
-				return errors.New("serve: sweep has no network")
+				return nil, errors.New("serve: sweep has no network")
 			}
 			if r.Space.Size() == 0 {
-				return errors.New("serve: sweep has an empty design space")
+				return nil, errors.New("serve: sweep has an empty design space")
 			}
-			return nil
+			return r, nil
 		},
 		doc: func(req any) (any, error) {
 			r := req.(SweepRequest)
@@ -321,18 +323,18 @@ func scenarioKind(name string, multiChip bool, other string, run func(context.Co
 			}
 			return ScheduleRequest{Cfg: cfg, Spec: spec, RequestID: reqID}, nil
 		},
-		check: func(req any) error {
+		check: func(req any) (any, error) {
 			r := req.(ScheduleRequest)
 			if r.Spec == nil {
-				return fmt.Errorf("serve: %s has no spec", name)
+				return nil, fmt.Errorf("serve: %s has no spec", name)
 			}
 			if err := r.Spec.Validate(); err != nil {
-				return err
+				return nil, err
 			}
 			if (r.Spec.Chips > 1) != multiChip {
-				return fmt.Errorf("%s scenario has chips=%d; %s", name, r.Spec.Chips, other)
+				return nil, fmt.Errorf("%s scenario has chips=%d; %s", name, r.Spec.Chips, other)
 			}
-			return r.Cfg.Validate()
+			return r, r.Cfg.Validate()
 		},
 		doc: func(req any) (any, error) {
 			r := req.(ScheduleRequest)
