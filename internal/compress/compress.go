@@ -203,15 +203,6 @@ func (c *Config) CodecCycles(cl dram.Class, logical int64) (enc, dec int64) {
 	return 0, 0
 }
 
-// RatioFor reports the effective logical/wire ratio the codec achieves
-// on a transfer of the given class and size (1 when it does not apply).
-func (c *Config) RatioFor(cl dram.Class, logical int64) float64 {
-	if logical <= 0 {
-		return 1
-	}
-	return float64(logical) / float64(c.WireBytes(cl, logical))
-}
-
 // classTokens lists the grammar tokens for the classes= key in grammar
 // order; classToken walks it so rendered specs (which become cache keys
 // and checkpoint fields) never depend on map iteration order.

@@ -196,19 +196,6 @@ func TestParseSpecErrors(t *testing.T) {
 	}
 }
 
-func TestRatioFor(t *testing.T) {
-	cfg := Config{Codec: CodecFixed, Ratio: 2}
-	if r := cfg.RatioFor(dram.ClassIFMRead, 1<<20); r != 2 {
-		t.Errorf("ratio = %g, want 2", r)
-	}
-	if r := cfg.RatioFor(dram.ClassWeightRead, 1<<20); r != 1 {
-		t.Errorf("weight ratio = %g, want 1", r)
-	}
-	if r := cfg.RatioFor(dram.ClassIFMRead, 0); r != 1 {
-		t.Errorf("zero-byte ratio = %g, want 1", r)
-	}
-}
-
 func TestConfigJSONRoundTrip(t *testing.T) {
 	cfg := &Config{Codec: CodecZVC, Sparsity: 0.5, ElemBytes: 2,
 		EncodeCyclesPerKiB: 2, DecodeCyclesPerKiB: 3,

@@ -648,12 +648,3 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	}
 	return out
 }
-
-// LinearBuckets returns n ascending bounds start, start+step, ...
-func LinearBuckets(start, step float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*step
-	}
-	return out
-}

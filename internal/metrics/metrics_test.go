@@ -172,8 +172,4 @@ func TestBucketHelpers(t *testing.T) {
 	if exp[0] != 64 || exp[1] != 256 || exp[2] != 1024 {
 		t.Errorf("ExpBuckets = %v", exp)
 	}
-	lin := LinearBuckets(1, 2, 3)
-	if lin[0] != 1 || lin[1] != 3 || lin[2] != 5 {
-		t.Errorf("LinearBuckets = %v", lin)
-	}
 }

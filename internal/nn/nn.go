@@ -11,7 +11,6 @@ package nn
 
 import (
 	"fmt"
-	"sort"
 
 	"shortcutmining/internal/tensor"
 )
@@ -107,15 +106,6 @@ type Layer struct {
 	Index int            // position in topological order
 	In    []tensor.Shape // one per entry of Inputs
 	Out   tensor.Shape
-}
-
-// InC returns the layer's total input channel count.
-func (l *Layer) InC() int {
-	c := 0
-	for _, s := range l.In {
-		c += s.C
-	}
-	return c
 }
 
 // NumGroups returns the effective convolution group count (Groups
@@ -239,20 +229,6 @@ func (n *Network) TotalWeightBytes(d tensor.DataType) int64 {
 		total += l.WeightBytes(d)
 	}
 	return total
-}
-
-// Stages returns the distinct stage labels in first-appearance order.
-func (n *Network) Stages() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, l := range n.Layers {
-		if l.Stage == "" || seen[l.Stage] {
-			continue
-		}
-		seen[l.Stage] = true
-		out = append(out, l.Stage)
-	}
-	return out
 }
 
 // Validate re-checks structural invariants; Builder.Finish always
@@ -524,34 +500,6 @@ func (n *Network) Names() []string {
 	out := make([]string, len(n.Layers))
 	for i, l := range n.Layers {
 		out[i] = l.Name
-	}
-	return out
-}
-
-// SortedStageCounts reports, per stage label, how many layers belong to
-// it (alphabetical by stage; reporting helper).
-func (n *Network) SortedStageCounts() []struct {
-	Stage string
-	Count int
-} {
-	counts := make(map[string]int)
-	for _, l := range n.Layers {
-		if l.Stage != "" {
-			counts[l.Stage]++
-		}
-	}
-	stages := make([]string, 0, len(counts))
-	for s := range counts {
-		stages = append(stages, s)
-	}
-	sort.Strings(stages)
-	out := make([]struct {
-		Stage string
-		Count int
-	}, len(stages))
-	for i, s := range stages {
-		out[i].Stage = s
-		out[i].Count = counts[s]
 	}
 	return out
 }

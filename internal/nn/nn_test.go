@@ -248,28 +248,6 @@ func TestValidateCatchesTampering(t *testing.T) {
 	n.Layers[3].Inputs = saved
 }
 
-func TestStagesAndCounts(t *testing.T) {
-	n := MustResNet(34)
-	stages := n.Stages()
-	want := []string{"stem", "layer1", "layer2", "layer3", "layer4", "head"}
-	if len(stages) != len(want) {
-		t.Fatalf("stages = %v", stages)
-	}
-	for i := range want {
-		if stages[i] != want[i] {
-			t.Errorf("stage[%d] = %q, want %q", i, stages[i], want[i])
-		}
-	}
-	counts := n.SortedStageCounts()
-	total := 0
-	for _, c := range counts {
-		total += c.Count
-	}
-	if total != len(n.Layers)-1 { // input has no stage
-		t.Errorf("stage counts cover %d layers, want %d", total, len(n.Layers)-1)
-	}
-}
-
 func TestNames(t *testing.T) {
 	n := MustResNet(18)
 	names := n.Names()

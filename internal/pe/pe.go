@@ -88,17 +88,3 @@ func (c Config) Utilization(l *nn.Layer) float64 {
 	}
 	return float64(l.MACs()) / (float64(cycles) * float64(c.NumMACs()))
 }
-
-// NetworkCycles sums compute cycles over all layers for one image.
-func (c Config) NetworkCycles(n *nn.Network) int64 {
-	var total int64
-	for _, l := range n.Layers {
-		total += c.LayerCycles(l)
-	}
-	return total
-}
-
-// SecondsAt converts cycles to seconds at the configured clock.
-func (c Config) SecondsAt(cycles int64) float64 {
-	return float64(cycles) / (c.ClockMHz * 1e6)
-}

@@ -130,28 +130,6 @@ func TestConcatAndInputAreFree(t *testing.T) {
 	}
 }
 
-func TestNetworkCyclesAndSeconds(t *testing.T) {
-	n := nn.MustResNet(18)
-	cfg := testConfig()
-	cycles := cfg.NetworkCycles(n)
-	if cycles <= 0 {
-		t.Fatal("non-positive network cycles")
-	}
-	// Lower bound: MACs / array size.
-	lower := n.TotalMACs() / int64(cfg.NumMACs())
-	if cycles < lower {
-		t.Errorf("cycles %d below ideal %d", cycles, lower)
-	}
-	secs := cfg.SecondsAt(cycles)
-	if secs <= 0 {
-		t.Error("non-positive seconds")
-	}
-	// 200 MHz: seconds = cycles / 2e8.
-	if want := float64(cycles) / 2e8; secs != want {
-		t.Errorf("seconds = %g, want %g", secs, want)
-	}
-}
-
 func TestQuickCyclesAtLeastIdeal(t *testing.T) {
 	// Property: rounded mapping can never beat the ideal MACs/array
 	// bound for conv layers.

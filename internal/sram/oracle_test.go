@@ -368,38 +368,6 @@ func (p *refPool) Grow(b *refBuffer, bytes int64) (int64, error) {
 	return added, nil
 }
 
-func (p *refPool) Merge(role Role, tag string, bufs ...*refBuffer) (*refBuffer, error) {
-	if len(bufs) == 0 {
-		return nil, fmt.Errorf("sram: merge of zero buffers for %q", tag)
-	}
-	for _, b := range bufs {
-		if b.freed {
-			return nil, fmt.Errorf("%w: merge source %q", ErrReleased, b.tag)
-		}
-		if b.pinned {
-			return nil, fmt.Errorf("%w: merge source %q", ErrPinned, b.tag)
-		}
-	}
-	m := &refBuffer{pool: p, id: p.nextID, role: role, tag: tag}
-	p.nextID++
-	for _, b := range bufs {
-		m.banks = append(m.banks, b.banks...)
-		m.bytes += b.bytes
-		for _, bank := range b.banks {
-			p.owner[bank] = m.id
-		}
-		b.banks = nil
-		b.bytes = 0
-		b.freed = true
-		b.Payload = nil
-		delete(p.buffers, b.id)
-	}
-	p.buffers[m.id] = m
-	p.stats.Allocs++
-	p.noteUsage()
-	return m, nil
-}
-
 func (p *refPool) CheckInvariants() error {
 	const markFree = -1
 	mark := make([]int, p.cfg.NumBanks)
@@ -490,7 +458,6 @@ const (
 	poolOpReleaseTail
 	poolOpRelocate
 	poolOpRetire
-	poolOpMerge
 	poolOpPin
 	poolOpUnpin
 	poolOpFree
@@ -540,26 +507,6 @@ func (pp *poolPair) step(op, a, b byte) (string, error) {
 			rb, g2 = pp.ref.AllocUpTo(Role(b%4), "t", bytes)
 			got, want = fmt.Sprint(g1), fmt.Sprint(g2)
 		}
-		if (nb == nil) != (rb == nil) {
-			return desc, fmt.Errorf("buffer %v, reference %v", nb != nil, rb != nil)
-		}
-		if nb != nil {
-			pp.bufs, pp.refs = append(pp.bufs, nb), append(pp.refs, rb)
-		}
-	case poolOpMerge:
-		if len(pp.bufs) == 0 {
-			return "Merge of nothing", nil
-		}
-		var srcs []*Buffer
-		var refSrcs []*refBuffer
-		for k := range int(b%3) + 1 {
-			i := pick(a + byte(k))
-			srcs, refSrcs = append(srcs, pp.bufs[i]), append(refSrcs, pp.refs[i])
-		}
-		desc = fmt.Sprintf("Merge(%d buffers from %d)", len(srcs), pick(a))
-		nb, err1 := pp.p.Merge(RoleOutput, "m", srcs...)
-		rb, err2 := pp.ref.Merge(RoleOutput, "m", refSrcs...)
-		got, want = errText(err1), errText(err2)
 		if (nb == nil) != (rb == nil) {
 			return desc, fmt.Errorf("buffer %v, reference %v", nb != nil, rb != nil)
 		}

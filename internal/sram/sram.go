@@ -514,16 +514,6 @@ func (p *Pool) SetRole(b *Buffer, role Role) error {
 	return nil
 }
 
-// Retag renames the buffer's feature-map identity (used when an
-// in-place consumer such as pooling reuses its input banks).
-func (p *Pool) Retag(b *Buffer, tag string) error {
-	if b.freed {
-		return fmt.Errorf("%w: %q", ErrReleased, b.tag)
-	}
-	b.tag = tag
-	return nil
-}
-
 // Pin marks the buffer as retained shortcut data (procedure P3): it
 // cannot be freed or have banks released until Unpin.
 func (p *Pool) Pin(b *Buffer) error {
@@ -650,41 +640,6 @@ func (p *Pool) Grow(b *Buffer, bytes int64) (int64, error) {
 	}
 	p.noteUsage()
 	return added, nil
-}
-
-// Merge absorbs the given buffers into a single new logical buffer
-// whose banks are the concatenation of theirs — how a hardware concat
-// forms its output without moving a byte. The analytical scheduler in
-// internal/core models concatenation transparently (consumers read the
-// parts directly), so Merge is the hardware-faithful primitive kept
-// for alternative schedulers; the source buffers are consumed (they
-// read as freed afterwards) and none may be pinned, since their
-// retention obligation would transfer to the merged buffer.
-func (p *Pool) Merge(role Role, tag string, bufs ...*Buffer) (*Buffer, error) {
-	if len(bufs) == 0 {
-		return nil, fmt.Errorf("sram: merge of zero buffers for %q", tag)
-	}
-	for _, b := range bufs {
-		if b.freed {
-			return nil, fmt.Errorf("%w: merge source %q", ErrReleased, b.tag)
-		}
-		if b.pinned {
-			return nil, fmt.Errorf("%w: merge source %q", ErrPinned, b.tag)
-		}
-	}
-	m := p.newBuffer(role, tag, 0)
-	for _, b := range bufs {
-		for bank := b.head; bank >= 0; {
-			next := p.next[bank]
-			p.appendBank(m, bank)
-			bank = next
-		}
-		m.bytes += b.bytes
-		p.unregister(b)
-	}
-	p.stats.Allocs++
-	p.noteUsage()
-	return m, nil
 }
 
 // CheckInvariants verifies bank conservation: every bank is either on

@@ -23,7 +23,6 @@ const (
 	opReleaseTail // tail release, then regrowth
 	opReleaseGrow // head release, then regrowth
 	opGrow
-	opMerge
 	opCount
 )
 
@@ -181,24 +180,6 @@ func applyOps(numBanks, bankBytes int, tape []byte) error {
 					return fmt.Errorf("step %d: %v", i, err)
 				}
 			}
-		case opMerge:
-			a, b := pick(arg), pick(arg/3)
-			if a == nil || a == b || a.Pinned() || b.Pinned() {
-				break
-			}
-			touch(a)
-			touch(b)
-			want := append(a.Banks(), b.Banks()...)
-			m, err := p.Merge(RoleOutput, fmt.Sprintf("m%d", i), a, b)
-			if err != nil {
-				return fmt.Errorf("step %d: %v", i, err)
-			}
-			if got := m.Banks(); !slices.Equal(got, want) {
-				return fmt.Errorf("step %d: merge layout %v, want %v", i, got, want)
-			}
-			drop(a)
-			drop(b)
-			live = append(live, m)
 		}
 		for _, c := range copies {
 			if !slices.Equal(c.view, c.want) {

@@ -215,20 +215,6 @@ func TestSetRoleIsZeroCopy(t *testing.T) {
 	}
 }
 
-func TestRetag(t *testing.T) {
-	p := newTestPool(t, 2, 1024)
-	b, err := p.Alloc(RoleInput, "old", 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Retag(b, "new"); err != nil {
-		t.Fatal(err)
-	}
-	if b.Tag() != "new" {
-		t.Errorf("tag = %q", b.Tag())
-	}
-}
-
 func TestPinBlocksFreeAndRelease(t *testing.T) {
 	p := newTestPool(t, 8, 1024)
 	b, err := p.Alloc(RoleRetained, "sc", 2048)
@@ -293,9 +279,6 @@ func TestUseAfterFree(t *testing.T) {
 	}
 	if err := p.ReleaseBanks(b, 0); !errors.Is(err, ErrReleased) {
 		t.Errorf("ReleaseBanks after free: %v", err)
-	}
-	if err := p.Retag(b, "x"); !errors.Is(err, ErrReleased) {
-		t.Errorf("Retag after free: %v", err)
 	}
 }
 
