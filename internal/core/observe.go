@@ -110,10 +110,10 @@ func newObserver(reg *metrics.Registry, ch *dram.Channel) *observer {
 	o := &observer{
 		reg: reg,
 		burst: reg.Histogram(MetricDRAMBurstBytes,
-			"burst-rounded bytes moved per DRAM transfer",
+			"burst-rounded bytes moved per DRAM transfer, for one image",
 			metrics.ExpBuckets(64, 4, 10)), // 64 B .. 16 MiB
 		util: reg.Histogram(MetricDRAMUtilization,
-			"per-layer feature-map channel occupancy (mem cycles / layer cycles)",
+			"per-layer feature-map channel occupancy (mem cycles / layer cycles), for one image",
 			[]float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1}),
 	}
 	ch.SetObserver(func(c dram.Class, _, moved int64) {
@@ -158,44 +158,44 @@ func (o *observer) finishRun(e *executor) {
 	}
 	reg, r, batch := o.reg, &e.run, int64(e.cfg.Batch)
 	reg.Gauge(MetricPoolUsedPeak,
-		"high-water mark of occupied SRAM banks").Set(float64(r.PeakUsedBanks))
+		"high-water mark of occupied SRAM banks, for one image").Set(float64(r.PeakUsedBanks))
 	reg.Gauge(MetricPoolPinnedPeak,
-		"high-water mark of pinned (retained) SRAM banks").Set(float64(r.PeakPinnedBanks))
+		"high-water mark of pinned (retained) SRAM banks, for one image").Set(float64(r.PeakPinnedBanks))
 	for _, c := range dram.Classes() {
 		l := metrics.L("class", c.String())
-		reg.Counter(MetricDRAMBytes, "burst-rounded off-chip bytes by traffic class", l).Add(r.Traffic[c])
-		reg.Counter(MetricDRAMTransfers, "DRAM transfers by traffic class", l).Add(o.transfers[c])
+		reg.Counter(MetricDRAMBytes, "burst-rounded off-chip bytes by traffic class, scaled by batch", l).Add(r.Traffic[c])
+		reg.Counter(MetricDRAMTransfers, "DRAM transfers by traffic class, for one image", l).Add(o.transfers[c])
 	}
 	for p, label := range procLabels {
 		l := metrics.L("proc", label)
 		reg.Counter(MetricProcHits,
-			"times a Shortcut Mining procedure served its purpose", l).Add(o.hits[p])
+			"times a Shortcut Mining procedure served its purpose, for one image", l).Add(o.hits[p])
 		reg.Counter(MetricProcMisses,
-			"times a Shortcut Mining procedure fell back to DRAM", l).Add(o.misses[p])
+			"times a Shortcut Mining procedure fell back to DRAM, for one image", l).Add(o.misses[p])
 	}
 	f := &r.Faults
 	for _, k := range [...]struct {
 		kind string
 		n    int64
 	}{{FaultBankFail, f.BankFailures}, {FaultBankTransient, f.TransientErrors}, {FaultBWDegrade, o.bwChanges}} {
-		reg.Counter(MetricFaultsInjected, "injected faults by kind", metrics.L("kind", k.kind)).Add(k.n)
+		reg.Counter(MetricFaultsInjected, "injected faults by kind, for the whole run", metrics.L("kind", k.kind)).Add(k.n)
 	}
 	reg.Counter(MetricDMARetries,
-		"DMA transfer attempts that failed and were reissued").Add(f.DMARetries)
+		"DMA transfer attempts that failed and were reissued, for the whole run").Add(f.DMARetries)
 	reg.Counter(MetricDMARetryCycles,
-		"cycles spent on DMA re-transfers and exponential backoff").Add(f.DMARetryCycles)
+		"cycles spent on DMA re-transfers and exponential backoff, for the whole run").Add(f.DMARetryCycles)
 	reg.Counter(MetricBankRelocations,
-		"failing banks whose contents migrated to a spare bank").Add(f.Relocations)
+		"failing banks whose contents migrated to a spare bank, for the whole run").Add(f.Relocations)
 	reg.Counter(MetricFaultSpillBytes,
-		"bytes P5-spilled to DRAM because a failing bank had no spare").Add(f.FaultSpillBytes)
+		"bytes P5-spilled to DRAM because a failing bank had no spare, for the whole run").Add(f.FaultSpillBytes)
 	reg.Counter(MetricDegradedCycles,
-		"extra channel cycles caused by bandwidth degradation").Add(f.DegradedCycles)
+		"extra channel cycles caused by bandwidth degradation, for the whole run").Add(f.DegradedCycles)
 	bw := reg.Gauge(MetricBandwidthFactor,
-		"current effective feature-map bandwidth multiplier (1 = nominal)")
+		"current effective feature-map bandwidth multiplier (1 = nominal), for the whole run")
 	bw.Set(1) // the run starts at nominal bandwidth: that is the gauge's peak
 	bw.Set(e.inj.Factor())
 	reg.Gauge(MetricPoolFailedBanks,
-		"SRAM banks retired from service").Set(float64(e.pool.FailedBanks()))
+		"SRAM banks retired from service, for the whole run").Set(float64(e.pool.FailedBanks()))
 	for i := range r.Layers {
 		ls := &r.Layers[i]
 		if ls.Cycles > 0 {
@@ -203,11 +203,11 @@ func (o *observer) finishRun(e *executor) {
 		}
 		l := metrics.L("layer", ls.Name)
 		reg.Counter(MetricLayerCycles,
-			"attributed cycles per layer (sums to RunStats.TotalCycles)", l).Add(ls.Cycles * batch)
+			"attributed cycles per layer, scaled by batch (sums to RunStats.TotalCycles)", l).Add(ls.Cycles * batch)
 		reg.Counter(MetricLayerComputeCycles,
-			"PE-array cycles per layer", l).Add(ls.ComputeCycles * batch)
+			"PE-array cycles per layer, scaled by batch", l).Add(ls.ComputeCycles * batch)
 		reg.Counter(MetricLayerMemCycles,
-			"feature-map channel occupancy cycles per layer", l).Add(ls.MemCycles * batch)
+			"feature-map channel occupancy cycles per layer, scaled by batch", l).Add(ls.MemCycles * batch)
 	}
 	if cs := r.Compression; cs != nil {
 		for _, c := range dram.Classes() {
@@ -216,17 +216,17 @@ func (o *observer) finishRun(e *executor) {
 			}
 			l := metrics.L("class", c.String())
 			reg.Counter(MetricCompressLogicalBytes,
-				"pre-codec (logical) bytes by compressible traffic class", l).Add(cs.Logical[c])
+				"pre-codec (logical) bytes by compressible traffic class, scaled by batch", l).Add(cs.Logical[c])
 			reg.Counter(MetricCompressWireBytes,
-				"post-codec wire payload bytes by compressible traffic class", l).Add(cs.Wire[c])
+				"post-codec wire payload bytes by compressible traffic class, scaled by batch", l).Add(cs.Wire[c])
 		}
 		reg.Counter(MetricCompressSavedBytes,
-			"bytes the interlayer codec kept off the wire").Add(cs.SavedBytes)
+			"bytes the interlayer codec kept off the wire, scaled by batch").Add(cs.SavedBytes)
 		reg.Counter(MetricCompressCodecCycles,
-			"codec engine cycles serialized into the run",
+			"codec engine cycles serialized into the run, scaled by batch",
 			metrics.L("dir", "encode")).Add(cs.EncodeCycles)
 		reg.Counter(MetricCompressCodecCycles,
-			"codec engine cycles serialized into the run",
+			"codec engine cycles serialized into the run, scaled by batch",
 			metrics.L("dir", "decode")).Add(cs.DecodeCycles)
 	}
 	r.Metrics = reg.Snapshot()
