@@ -39,7 +39,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fl, err := fused.Simulate(net, fusedCfg(cfg))
+		fl, err := fused.Simulate(net, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fl, err := fused.Simulate(net, fusedCfg(c))
+		fl, err := fused.Simulate(net, c)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -71,18 +71,6 @@ func main() {
 		}
 		fmt.Printf("  %5d KiB: fused %6.1f | scm %6.1f  → %s\n",
 			kb, mib(fl.Run.FmapTrafficBytes()), mib(scm.FmapTrafficBytes()), marker)
-	}
-}
-
-func fusedCfg(cfg core.Config) fused.Config {
-	return fused.Config{
-		PE:                  cfg.PE,
-		DRAM:                cfg.DRAM,
-		BufferBytes:         cfg.Pool.TotalBytes(),
-		WeightBufBytes:      cfg.WeightBufBytes,
-		WeightBandwidthGBps: cfg.WeightBandwidthGBps,
-		DType:               cfg.DType,
-		ControlCycles:       cfg.ControlCycles,
 	}
 }
 

@@ -257,6 +257,32 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// MemCycles converts a layer's traffic on ch into channel-occupancy
+// cycles. With a dedicated weight channel the two streams overlap and
+// the slower one gates the layer; otherwise everything shares one
+// pipe. A bandwidth factor below 1 (injected degradation) stretches
+// the feature-map stream by 1/factor; the weight channel is modeled
+// fault-free (it is a separate physical SODIMM on the prototype board).
+func (c *Config) MemCycles(ch *dram.Channel, delta dram.Traffic, factor float64) int64 {
+	clock := c.PE.ClockMHz
+	if c.WeightBandwidthGBps <= 0 {
+		return stretch(ch.CyclesAt(delta.Total(), clock), factor)
+	}
+	fm := stretch(ch.CyclesAt(delta.FeatureMap(), clock), factor)
+	wBytesPerCycle := c.WeightBandwidthGBps * 1e9 / (clock * 1e6)
+	w := int64(float64(delta[dram.ClassWeightRead])/wBytesPerCycle + 0.999999)
+	return max(w, fm)
+}
+
+// stretch divides a cycle count by a bandwidth factor below 1,
+// rounding up; a factor of 1 leaves it as it is.
+func stretch(cycles int64, factor float64) int64 {
+	if factor < 1 {
+		return int64(float64(cycles)/factor + 0.999999)
+	}
+	return cycles
+}
+
 // WithPoolBytes returns a copy of the config whose pool capacity is
 // approximately totalBytes, preserving the bank size (used by the
 // buffer sweep, experiment E6).

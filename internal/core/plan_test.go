@@ -285,7 +285,7 @@ func TestMemCyclesDualChannel(t *testing.T) {
 	cfg := Default()
 	cfg.DRAM.BandwidthGBps = 1.0  // fmap channel
 	cfg.WeightBandwidthGBps = 2.0 // weight channel
-	e, err := newExecutor(cfg)
+	ch, err := dram.NewChannel(cfg.DRAM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,21 +293,24 @@ func TestMemCyclesDualChannel(t *testing.T) {
 	// At 200 MHz: fmap channel moves 5 B/cycle, weight channel 10.
 	tr[dram.ClassIFMRead] = 500     // 100 cycles on the fmap channel
 	tr[dram.ClassWeightRead] = 2000 // 200 cycles on the weight channel
-	if got := e.memCycles(tr); got != 200 {
+	if got := cfg.MemCycles(ch, tr, 1); got != 200 {
 		t.Errorf("dual-channel cycles = %d, want 200 (weight-bound)", got)
 	}
 	tr[dram.ClassWeightRead] = 100 // 10 cycles
-	if got := e.memCycles(tr); got != 100 {
+	if got := cfg.MemCycles(ch, tr, 1); got != 100 {
 		t.Errorf("dual-channel cycles = %d, want 100 (fmap-bound)", got)
+	}
+	// Degraded bandwidth stretches the fmap stream only.
+	if got := cfg.MemCycles(ch, tr, 0.5); got != 200 {
+		t.Errorf("dual-channel cycles at factor 0.5 = %d, want 200", got)
 	}
 	// Shared channel: everything serializes.
 	cfg.WeightBandwidthGBps = 0
-	e2, err := newExecutor(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := e2.memCycles(tr); got != 120 {
+	if got := cfg.MemCycles(ch, tr, 1); got != 120 {
 		t.Errorf("shared-channel cycles = %d, want 120", got)
+	}
+	if got := cfg.MemCycles(ch, tr, 0.5); got != 240 {
+		t.Errorf("shared-channel cycles at factor 0.5 = %d, want 240", got)
 	}
 }
 

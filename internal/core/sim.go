@@ -684,7 +684,7 @@ func (e *executor) execLayer(l *nn.Layer) error {
 	}
 	ls.Traffic = delta // scmvet:ok accounting per-layer slice of the channel's own tally, no new bytes
 	ls.ComputeCycles = e.cfg.PE.LayerCycles(l)
-	ls.MemCycles = e.memCycles(delta)
+	ls.MemCycles = e.cfg.MemCycles(e.ch, delta, e.inj.Factor())
 	ls.Cycles = ls.ComputeCycles
 	if ls.MemCycles > ls.Cycles {
 		ls.Cycles = ls.MemCycles
@@ -717,32 +717,6 @@ func (e *executor) execLayer(l *nn.Layer) error {
 	}
 	e.clock += ls.Cycles
 	return nil
-}
-
-// memCycles converts a layer's traffic into channel-occupancy cycles.
-// With a dedicated weight channel the two streams overlap and the
-// slower one gates the layer; otherwise everything shares one pipe.
-// Injected bandwidth degradation stretches the feature-map stream by
-// 1/factor; the weight channel is modeled fault-free (it is a separate
-// physical SODIMM on the prototype board).
-func (e *executor) memCycles(delta dram.Traffic) int64 {
-	clock := e.cfg.PE.ClockMHz
-	scale := func(cycles int64) int64 {
-		if f := e.inj.Factor(); f < 1 {
-			return int64(float64(cycles)/f + 0.999999)
-		}
-		return cycles
-	}
-	if e.cfg.WeightBandwidthGBps <= 0 {
-		return scale(e.ch.CyclesAt(delta.Total(), clock))
-	}
-	fm := scale(e.ch.CyclesAt(delta.FeatureMap(), clock))
-	wBytesPerCycle := e.cfg.WeightBandwidthGBps * 1e9 / (clock * 1e6)
-	w := int64(float64(delta[dram.ClassWeightRead])/wBytesPerCycle + 0.999999)
-	if w > fm {
-		return w
-	}
-	return fm
 }
 
 func (e *executor) finish() (stats.RunStats, error) {

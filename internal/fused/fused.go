@@ -8,58 +8,22 @@
 // and producers with multiple consumers terminate groups.
 //
 // The model is traffic-exact under its stated policy and
-// cycle-approximate like the core schedulers, sharing the PE and DRAM
-// models so comparisons are apples-to-apples (experiment E17).
+// cycle-approximate like the core schedulers. It runs on their
+// platform description (core.Config), their PE and DRAM models and
+// their channel timing rule, so comparisons are apples-to-apples
+// (experiment E17).
 package fused
 
 import (
 	"fmt"
+	"slices"
 
-	"shortcutmining/internal/compress"
+	"shortcutmining/internal/core"
 	"shortcutmining/internal/dram"
 	"shortcutmining/internal/nn"
-	"shortcutmining/internal/pe"
 	"shortcutmining/internal/stats"
 	"shortcutmining/internal/tensor"
 )
-
-// Config is the fused-layer platform: the same PE array and channels
-// as the core schedulers, with the bank pool re-interpreted as one
-// line-buffer arena.
-type Config struct {
-	PE                  pe.Config
-	DRAM                dram.Config
-	BufferBytes         int64 // on-chip line-buffer arena (= the pool capacity)
-	WeightBufBytes      int64
-	WeightBandwidthGBps float64
-	DType               tensor.DataType
-	ControlCycles       int64
-
-	// Compression is the optional interlayer feature-map codec at the
-	// DRAM boundary, identical in semantics to core.Config.Compression:
-	// group boundary traffic (head input, tail output, cross-group
-	// shortcut reads) moves compressed; weights never do. Intra-group
-	// edges never touch DRAM, so fusion and compression compose — the
-	// codec only sees what fusion failed to keep on chip.
-	Compression *compress.Config
-}
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if err := c.PE.Validate(); err != nil {
-		return err
-	}
-	if err := c.DRAM.Validate(); err != nil {
-		return err
-	}
-	if c.BufferBytes <= 0 || c.WeightBufBytes <= 0 {
-		return fmt.Errorf("fused: buffers must be positive")
-	}
-	if err := c.Compression.Validate(); err != nil {
-		return err
-	}
-	return nil
-}
 
 // Group is one fusion group: a maximal run of pipelineable layers.
 type Group struct {
@@ -120,24 +84,34 @@ func workingSet(net *nn.Network, members []int, d tensor.DataType) int64 {
 	return ws
 }
 
-// Simulate executes the network under the fused-layer policy and
-// returns the fusion plan plus run statistics comparable with
-// core.Simulate results.
-func Simulate(net *nn.Network, cfg Config) (Result, error) {
+// Simulate executes the network under the fused-layer policy on the
+// platform the core schedulers run on, with the bank pool
+// re-interpreted as one line-buffer arena, and returns the fusion plan
+// plus run statistics comparable with core.Simulate results. The model
+// covers one image, uncompressed and fault-free: a config with a batch
+// other than 1, a codec or a fault plan is refused rather than
+// modeled as a different platform.
+func Simulate(net *nn.Network, cfg core.Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	if _, err := net.Plan(); err != nil {
+	switch {
+	case cfg.Batch != 1:
+		return Result{}, fmt.Errorf("fused: batch %d: the model covers one image", cfg.Batch)
+	case cfg.Compression != nil:
+		return Result{}, fmt.Errorf("fused: codec %s: the model moves uncompressed feature maps", cfg.Compression)
+	case !cfg.Faults.Empty():
+		return Result{}, fmt.Errorf("fused: fault plan %s: the model is fault-free", cfg.Faults)
+	}
+	plan, err := net.Plan()
+	if err != nil {
 		return Result{}, fmt.Errorf("fused: %w", err)
 	}
 	ch, err := dram.NewChannel(cfg.DRAM)
 	if err != nil {
 		return Result{}, err
 	}
-	var tally codecTally
-	if cfg.Compression != nil {
-		ch.SetCompressor(cfg.Compression)
-	}
+	arena := cfg.Pool.TotalBytes()
 	res := Result{Run: stats.RunStats{
 		Network:  net.Name,
 		Strategy: "fused-layer",
@@ -147,17 +121,14 @@ func Simulate(net *nn.Network, cfg Config) (Result, error) {
 
 	// Greedy grouping over execution order.
 	var current []int
-	flush := func() error {
+	flush := func() {
 		if len(current) == 0 {
-			return nil
+			return
 		}
 		g := Group{Layers: current, WorkingSetBytes: workingSet(net, current, cfg.DType)}
-		if err := execGroup(net, cfg, ch, &res.Run, g, &tally); err != nil {
-			return err
-		}
+		execGroup(net, &cfg, ch, &res.Run, g)
 		res.Groups = append(res.Groups, g)
 		current = nil
-		return nil
 	}
 	for _, l := range net.Layers {
 		if l.Kind == nn.OpInput {
@@ -167,9 +138,7 @@ func Simulate(net *nn.Network, cfg Config) (Result, error) {
 		if l.Kind == nn.OpConcat {
 			// Layout-only, as in the other schedulers; it also breaks
 			// the pipeline (multiple producers).
-			if err := flush(); err != nil {
-				return Result{}, err
-			}
+			flush()
 			res.Run.Layers = append(res.Run.Layers, stats.LayerStats{Name: l.Name, Kind: l.Kind.String(), Stage: l.Stage})
 			continue
 		}
@@ -180,9 +149,9 @@ func Simulate(net *nn.Network, cfg Config) (Result, error) {
 		if extendable {
 			tail := current[len(current)-1]
 			primary := net.Layer(l.Inputs[len(l.Inputs)-1])
-			if primary.Index != tail || len(net.Consumers(tail)) != 1 {
+			if primary.Index != tail || plan.Consumers(tail) != 1 {
 				extendable = false
-			} else if workingSet(net, append(append([]int(nil), current...), l.Index), cfg.DType) > cfg.BufferBytes {
+			} else if workingSet(net, append(append([]int(nil), current...), l.Index), cfg.DType) > arena {
 				extendable = false
 			}
 		}
@@ -190,19 +159,13 @@ func Simulate(net *nn.Network, cfg Config) (Result, error) {
 			current = append(current, l.Index)
 			continue
 		}
-		if err := flush(); err != nil {
-			return Result{}, err
-		}
+		flush()
 		current = []int{l.Index}
 		if !fusable(l) { // FC / global pool run standalone
-			if err := flush(); err != nil {
-				return Result{}, err
-			}
+			flush()
 		}
 	}
-	if err := flush(); err != nil {
-		return Result{}, err
-	}
+	flush()
 
 	res.Run.Traffic = ch.Traffic() // scmvet:ok accounting aggregation of the channel's tally into RunStats
 	res.Run.MACs = net.TotalMACs()
@@ -212,43 +175,16 @@ func Simulate(net *nn.Network, cfg Config) (Result, error) {
 		res.Run.TotalCycles += ls.Cycles
 		res.Run.SRAMBytes += ls.SRAMBytes
 	}
-	if cfg.Compression != nil {
-		cs := &stats.CompressionStats{
-			Codec:        cfg.Compression.String(),
-			Logical:      ch.LogicalTraffic(),
-			Wire:         ch.RawTraffic(),
-			EncodeCycles: tally.enc,
-			DecodeCycles: tally.dec,
-		}
-		cs.SavedBytes = cs.Logical.Total() - cs.Wire.Total()
-		res.Run.Compression = cs
-	}
 	return res, nil
 }
-
-// codecTally accumulates codec engine time across fusion groups.
-type codecTally struct{ enc, dec int64 }
 
 // execGroup charges one fusion group's traffic and timing. The group
 // reads its head input once (line-buffered single pass), streams every
 // member's weights, reads shortcut operands of internal adds from
 // DRAM, and writes only the tail output.
-func execGroup(net *nn.Network, cfg Config, ch *dram.Channel, run *stats.RunStats, g Group, tally *codecTally) error {
+func execGroup(net *nn.Network, cfg *core.Config, ch *dram.Channel, run *stats.RunStats, g Group) {
 	d := cfg.DType
 	before := ch.Traffic()
-
-	// xfer charges one DMA transfer and, under compression, the codec
-	// engine time of (de)compressing its logical payload.
-	var codec int64
-	xfer := func(c dram.Class, bytes int64) {
-		ch.Transfer(c, bytes)
-		if cfg.Compression != nil {
-			enc, dec := cfg.Compression.CodecCycles(c, bytes)
-			tally.enc += enc
-			tally.dec += dec
-			codec += enc + dec
-		}
-	}
 
 	head := net.Layers[g.Layers[0]]
 	tail := net.Layers[g.Layers[len(g.Layers)-1]]
@@ -259,20 +195,14 @@ func execGroup(net *nn.Network, cfg Config, ch *dram.Channel, run *stats.RunStat
 		l := net.Layers[idx]
 		compute += cfg.PE.LayerCycles(l)
 		sram += 2 * l.Out.Bytes(d)
-		xfer(dram.ClassWeightRead, l.WeightBytes(d))
+		ch.Transfer(dram.ClassWeightRead, l.WeightBytes(d))
 		// Non-primary operands of adds come from DRAM: the pipeline
 		// has no home for data produced outside the current group.
 		if l.Kind == nn.OpEltwiseAdd {
 			for _, in := range l.Inputs[:len(l.Inputs)-1] {
 				p := net.Layer(in)
-				inGroup := false
-				for _, m := range g.Layers[:gi] {
-					if m == p.Index {
-						inGroup = true
-					}
-				}
-				if !inGroup {
-					xfer(dram.ClassShortcutRead, expandBytes(net, p, d))
+				if !slices.Contains(g.Layers[:gi], p.Index) {
+					ch.Transfer(dram.ClassShortcutRead, p.Out.Bytes(d))
 				}
 			}
 		}
@@ -281,19 +211,15 @@ func execGroup(net *nn.Network, cfg Config, ch *dram.Channel, run *stats.RunStat
 	// line-buffered pass. A concat producer's bytes equal the sum of
 	// its parts, so the address-layout view needs no special casing.
 	primary := net.Layer(head.Inputs[len(head.Inputs)-1])
-	xfer(dram.ClassIFMRead, expandBytes(net, primary, d))
-	xfer(dram.ClassOFMWrite, tail.Out.Bytes(d))
+	ch.Transfer(dram.ClassIFMRead, primary.Out.Bytes(d))
+	ch.Transfer(dram.ClassOFMWrite, tail.Out.Bytes(d))
 
 	delta := ch.Traffic()
 	for c := range delta {
 		delta[c] -= before[c]
 	}
-	mem := memCycles(cfg, ch, delta)
-	cycles := compute
-	if mem > cycles {
-		cycles = mem
-	}
-	cycles += cfg.ControlCycles + codec
+	mem := cfg.MemCycles(ch, delta, 1)
+	cycles := max(compute, mem) + cfg.ControlCycles
 
 	// Attribute the group's outcome to its tail layer for reporting;
 	// internal members appear with zero traffic (they are fused away).
@@ -303,28 +229,7 @@ func execGroup(net *nn.Network, cfg Config, ch *dram.Channel, run *stats.RunStat
 	}
 	run.Layers = append(run.Layers, stats.LayerStats{
 		Name: tail.Name, Kind: tail.Kind.String(), Stage: tail.Stage,
-		ComputeCycles: compute, MemCycles: mem, Cycles: cycles, CodecCycles: codec,
+		ComputeCycles: compute, MemCycles: mem, Cycles: cycles,
 		Traffic: delta, SRAMBytes: sram,
 	})
-	return nil
-}
-
-// expandBytes returns the byte size of a producer's feature map,
-// expanding concat pseudo-producers to their parts.
-func expandBytes(net *nn.Network, p *nn.Layer, d tensor.DataType) int64 {
-	return p.Out.Bytes(d)
-}
-
-func memCycles(cfg Config, ch *dram.Channel, delta dram.Traffic) int64 {
-	clock := cfg.PE.ClockMHz
-	if cfg.WeightBandwidthGBps <= 0 {
-		return ch.CyclesAt(delta.Total(), clock)
-	}
-	fm := ch.CyclesAt(delta.FeatureMap(), clock)
-	perCycle := cfg.WeightBandwidthGBps * 1e9 / (clock * 1e6)
-	w := int64(float64(delta[dram.ClassWeightRead])/perCycle + 0.999999)
-	if w > fm {
-		return w
-	}
-	return fm
 }

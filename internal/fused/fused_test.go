@@ -2,23 +2,30 @@ package fused
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
+	"shortcutmining/internal/compress"
 	"shortcutmining/internal/core"
 	"shortcutmining/internal/dram"
+	"shortcutmining/internal/energy"
+	"shortcutmining/internal/fault"
 	"shortcutmining/internal/nn"
 	"shortcutmining/internal/pe"
+	"shortcutmining/internal/sram"
 	"shortcutmining/internal/tensor"
 )
 
-func testConfig() Config {
-	return Config{
+func testConfig() core.Config {
+	return core.Config{
 		PE:                  pe.Config{Tn: 16, Tm: 16, ClockMHz: 200, VectorWidth: 16},
+		Pool:                sram.Config{NumBanks: 4, BankBytes: 16 << 10}, // 64 KiB line-buffer arena
 		DRAM:                dram.Config{BandwidthGBps: 1.0, BurstBytes: 64, EnergyPJForB: 160},
-		BufferBytes:         64 << 10,
+		Energy:              energy.Default(),
 		WeightBufBytes:      1 << 20,
 		WeightBandwidthGBps: 12.8,
 		DType:               tensor.Fixed16,
+		Batch:               1,
 		ControlCycles:       500,
 	}
 }
@@ -65,7 +72,7 @@ func TestLinearChainFusesIntoOneGroup(t *testing.T) {
 func TestTinyBufferSplitsGroups(t *testing.T) {
 	net := chain(t, 4)
 	cfg := testConfig()
-	cfg.BufferBytes = 2 << 10 // less than one line-buffer stage
+	cfg.Pool = sram.Config{NumBanks: 2, BankBytes: 1 << 10} // less than one line-buffer stage
 	res, err := Simulate(net, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -111,14 +118,6 @@ func TestFusedBeatsBaselineLosesToSCMOnResidualNets(t *testing.T) {
 	// The paper's positioning: fused-layer removes adjacent-layer
 	// round trips but not shortcut traffic.
 	ccfg := core.Default()
-	fcfg := testConfig()
-	fcfg.PE = ccfg.PE
-	fcfg.DRAM = ccfg.DRAM
-	fcfg.BufferBytes = ccfg.Pool.TotalBytes()
-	fcfg.WeightBufBytes = ccfg.WeightBufBytes
-	fcfg.WeightBandwidthGBps = ccfg.WeightBandwidthGBps
-	fcfg.DType = ccfg.DType
-
 	for _, name := range []string{"resnet34", "resnet152", "squeezenet-bypass", "vgg16"} {
 		net := nn.MustBuild(name)
 		base, err := core.Simulate(net, ccfg, core.Baseline, nil)
@@ -129,7 +128,7 @@ func TestFusedBeatsBaselineLosesToSCMOnResidualNets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fl, err := Simulate(net, fcfg)
+		fl, err := Simulate(net, ccfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,12 +156,7 @@ func TestSCMOvertakesFusedGivenCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fcfg := testConfig()
-	fcfg.PE = ccfg.PE
-	fcfg.DRAM = ccfg.DRAM
-	fcfg.BufferBytes = ccfg.Pool.TotalBytes()
-	fcfg.DType = ccfg.DType
-	fl, err := Simulate(net, fcfg)
+	fl, err := Simulate(net, ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,14 +201,53 @@ func TestStandaloneHeadLayers(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	bad := testConfig()
-	bad.BufferBytes = 0
+	bad.Pool.NumBanks = 0
 	if _, err := Simulate(nn.MustResNet(18), bad); err == nil {
-		t.Error("zero buffer accepted")
+		t.Error("zero-bank pool accepted")
 	}
 	bad = testConfig()
 	bad.PE.Tn = 0
 	if _, err := Simulate(nn.MustResNet(18), bad); err == nil {
 		t.Error("bad PE config accepted")
+	}
+}
+
+// TestRefusesWhatItDoesNotModel pins that a platform the model cannot
+// represent — more than one image, a codec, a fault plan — is an error
+// rather than a result for a different platform.
+func TestRefusesWhatItDoesNotModel(t *testing.T) {
+	codec, err := compress.ParseSpec("fixed:ratio=2,enc=1,dec=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults, err := fault.ParseSpec("dma-drop:p=0.05")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*core.Config)
+		want string
+	}{
+		{"batch", func(c *core.Config) { c.Batch = 2 }, "batch 2"},
+		{"codec", func(c *core.Config) { c.Compression = codec }, "codec"},
+		{"faults", func(c *core.Config) { c.Faults = faults }, "fault plan"},
+	} {
+		cfg := testConfig()
+		tc.edit(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%s: fixture invalid: %v", tc.name, err)
+		}
+		_, err := Simulate(chain(t, 2), cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Simulate error = %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+	// An empty fault plan injects nothing, as in core.Simulate.
+	cfg := testConfig()
+	cfg.Faults = &fault.Spec{Seed: 3}
+	if _, err := Simulate(chain(t, 2), cfg); err != nil {
+		t.Errorf("empty fault plan refused: %v", err)
 	}
 }
 
@@ -238,9 +271,9 @@ func TestGroupsRespectWorkingSetBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, g := range res.Groups {
-			if len(g.Layers) > 1 && g.WorkingSetBytes > cfg.BufferBytes {
+			if len(g.Layers) > 1 && g.WorkingSetBytes > cfg.Pool.TotalBytes() {
 				t.Errorf("%s: multi-layer group %v working set %d exceeds buffer %d",
-					name, g.Layers, g.WorkingSetBytes, cfg.BufferBytes)
+					name, g.Layers, g.WorkingSetBytes, cfg.Pool.TotalBytes())
 			}
 		}
 	}

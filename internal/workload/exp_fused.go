@@ -18,19 +18,6 @@ func init() {
 	})
 }
 
-// fusedConfig maps the shared platform onto the fused-layer model.
-func fusedConfig(cfg core.Config) fused.Config {
-	return fused.Config{
-		PE:                  cfg.PE,
-		DRAM:                cfg.DRAM,
-		BufferBytes:         cfg.Pool.TotalBytes(),
-		WeightBufBytes:      cfg.WeightBufBytes,
-		WeightBandwidthGBps: cfg.WeightBandwidthGBps,
-		DType:               cfg.DType,
-		ControlCycles:       cfg.ControlCycles,
-	}
-}
-
 func runE17(cfg core.Config) (Result, error) {
 	t := stats.NewTable("Feature-map traffic: fused-layer vs shortcut mining (MiB, default 544 KiB SRAM)",
 		"network", "baseline", "fused-layer", "scm", "fused groups", "scm wins by")
@@ -44,7 +31,7 @@ func runE17(cfg core.Config) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		fl, err := fused.Simulate(net, fusedConfig(cfg))
+		fl, err := fused.Simulate(net, cfg)
 		if err != nil {
 			return Result{}, err
 		}
@@ -72,7 +59,7 @@ func runE17(cfg core.Config) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		fl, err := fused.Simulate(net, fusedConfig(c))
+		fl, err := fused.Simulate(net, c)
 		if err != nil {
 			return Result{}, err
 		}

@@ -150,6 +150,18 @@ func TestRunExperimentPublic(t *testing.T) {
 	}
 }
 
+// TestFusedComparisonRefusesBatch pins that E17 refuses a batch it
+// cannot model on the fused side instead of comparing a batch-scaled
+// SCM run with a one-image fused run.
+func TestFusedComparisonRefusesBatch(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Batch = 4
+	_, err := RunExperimentWith("E17", cfg)
+	if err == nil || !strings.Contains(err.Error(), "batch 4") {
+		t.Errorf("E17 at batch 4: err = %v, want a batch refusal", err)
+	}
+}
+
 func TestJSONCodecsPublic(t *testing.T) {
 	f, err := os.Open("testdata/hourglass.json")
 	if err != nil {
