@@ -8,7 +8,6 @@ import (
 	"shortcutmining/internal/dram"
 	"shortcutmining/internal/metrics"
 	"shortcutmining/internal/nn"
-	"shortcutmining/internal/sram"
 	"shortcutmining/internal/stats"
 	"shortcutmining/internal/trace"
 )
@@ -33,19 +32,8 @@ type Run struct {
 	err       error
 	result    stats.RunStats
 	suspended bool
-	saved     []savedBuffer
+	saved     []SavedBuffer
 	sched     SchedStats
-}
-
-// savedBuffer records what Suspend tore down so Resume can rebuild an
-// equivalent pool state: the same bank count, role, tag, and pin
-// status yield identical downstream scheduling decisions.
-type savedBuffer struct {
-	producer int
-	role     sram.Role
-	tag      string
-	banks    int
-	pinned   bool
 }
 
 // SchedStats is the multi-tenancy cost ledger of a Run: everything a
@@ -312,12 +300,12 @@ func (r *Run) Suspend() (Footprint, error) {
 			continue
 		}
 		buf := res.buf
-		r.saved = append(r.saved, savedBuffer{
-			producer: p,
-			role:     buf.Role(),
-			tag:      buf.Tag(),
-			banks:    buf.NumBanks(),
-			pinned:   buf.Pinned(),
+		r.saved = append(r.saved, SavedBuffer{
+			Producer: p,
+			Role:     buf.Role(),
+			Tag:      buf.Tag(),
+			Banks:    buf.NumBanks(),
+			Pinned:   buf.Pinned(),
 		})
 		// Only bytes with no current DRAM copy must be written back;
 		// a fully spilled fmap whose prefix is also resident re-loads
@@ -367,16 +355,16 @@ func (r *Run) Resume() error {
 	}
 	bankBytes := r.e.bankBytes()
 	for _, s := range r.saved {
-		buf, err := r.e.pool.Alloc(s.role, s.tag, int64(s.banks)*bankBytes)
+		buf, err := r.e.pool.Alloc(s.Role, s.Tag, int64(s.Banks)*bankBytes)
 		if err != nil {
-			return r.fail(fmt.Errorf("core: %s: resuming %s: %w", r.e.net.Name, s.tag, err))
+			return r.fail(fmt.Errorf("core: %s: resuming %s: %w", r.e.net.Name, s.Tag, err))
 		}
-		if s.pinned {
+		if s.Pinned {
 			if err := r.e.pool.Pin(buf); err != nil {
 				return r.fail(err)
 			}
 		}
-		res := &r.e.residents[s.producer]
+		res := &r.e.residents[s.Producer]
 		res.buf = buf
 		if res.onChip > 0 {
 			moved := r.e.ch.WirePayload(dram.ClassSpillRead, res.onChip)
@@ -387,7 +375,7 @@ func (r *Run) Resume() error {
 				r.sched.ReloadCycles += dec
 			}
 			r.e.record(trace.Event{Kind: trace.KindRefill, Layer: r.e.net.Layers[r.next].Name,
-				Tag: s.tag, Bytes: moved, Note: "resume"})
+				Tag: s.Tag, Bytes: moved, Note: "resume"})
 		}
 	}
 	r.saved = r.saved[:0]

@@ -90,8 +90,10 @@ type RunSnapshot struct {
 	Scratch stats.RunStats `json:"scratch"`
 }
 
-// SavedBuffer is the serializable form of what Suspend remembered
-// about one torn-down logical buffer.
+// SavedBuffer records what Suspend tore down of one logical buffer,
+// so that Resume can rebuild an equivalent pool state: the same bank
+// count, role, tag and pin status yield identical downstream
+// scheduling decisions. A Run and its snapshots share this record.
 type SavedBuffer struct {
 	Producer int       `json:"producer"`
 	Role     sram.Role `json:"role"`
@@ -170,11 +172,8 @@ func (r *Run) Snapshot(from int) (*RunSnapshot, error) {
 		EncodeCycles:   r.e.encCycles,
 		DecodeCycles:   r.e.decCycles,
 		Scratch:        scratch,
-	}
-	for _, s := range r.saved {
-		snap.Saved = append(snap.Saved, SavedBuffer{
-			Producer: s.producer, Role: s.role, Tag: s.tag, Banks: s.banks, Pinned: s.pinned,
-		})
+		// A copy: Resume truncates and Suspend refills r.saved in place.
+		Saved: append([]SavedBuffer(nil), r.saved...),
 	}
 	for p := range r.e.residents {
 		res := &r.e.residents[p]
@@ -372,11 +371,7 @@ func RestoreRun(net *nn.Network, cfg Config, snap *RunSnapshot) (*Run, error) {
 			consumersLeft: int32(rs.ConsumersLeft), lastUse: int32(rs.LastUse),
 		}
 	}
-	for _, sb := range snap.Saved {
-		r.saved = append(r.saved, savedBuffer{
-			producer: sb.Producer, role: sb.Role, tag: sb.Tag, banks: sb.Banks, pinned: sb.Pinned,
-		})
-	}
+	r.saved = append(r.saved, snap.Saved...) // a copy: the run reuses its slice
 	r.e.clock = snap.Clock
 	r.e.memCursor = snap.MemCursor
 	r.e.run = snap.Scratch

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -193,6 +194,40 @@ func TestSnapshotSchedLedgerSurvives(t *testing.T) {
 	after := r2.Sched()
 	if after.Suspends != before.Suspends || after.Resumes != before.Resumes+1 {
 		t.Errorf("ledger after restore+finish = %+v (before %+v)", after, before)
+	}
+}
+
+// TestSnapshotSavedIsACopy: Resume truncates a run's saved-buffer
+// list and the next Suspend refills it in place, so neither a snapshot
+// nor a run restored from it may share that list with the other.
+func TestSnapshotSavedIsACopy(t *testing.T) {
+	net := nn.MustBuild("resnet18")
+	cfg := Default()
+	r, err := NewRun(net, cfg, SCM, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		mustSuspend(t, r)
+	}
+	snap, err := r.Snapshot(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Saved) == 0 {
+		t.Fatal("fixture suspends with no saved buffers")
+	}
+	want := slices.Clone(snap.Saved)
+	r2, err := RestoreRun(net, cfg, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		mustSuspend(t, r)
+		mustSuspend(t, r2)
+	}
+	if !slices.Equal(snap.Saved, want) {
+		t.Errorf("snapshot's saved buffers changed under the runs:\n got %+v\nwant %+v", snap.Saved, want)
 	}
 }
 
