@@ -47,13 +47,7 @@ func runE20(cfg core.Config) (Result, error) {
 			metrics[fmt.Sprintf("red/%s/%d", name, banks)] = red
 			row = append(row, stats.Pct(red))
 		}
-		rep, err := fpga.Estimate(fpga.VC709(), fpga.Design{
-			MACs:           c.PE.NumMACs(),
-			PoolBanks:      banks,
-			BankBytes:      c.Pool.BankBytes,
-			WeightBufBytes: c.WeightBufBytes,
-			LogicalBuffers: true,
-		})
+		rep, err := fpga.Estimate(fpga.VC709(), designFor(c, true))
 		if err != nil {
 			return Result{}, err
 		}

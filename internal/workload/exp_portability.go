@@ -45,13 +45,7 @@ func runE21(cfg core.Config) (Result, error) {
 		c := cfg
 		c.PE = p.pe
 		c = c.WithPoolBytes(p.poolKB << 10)
-		rep, err := fpga.Estimate(p.dev, fpga.Design{
-			MACs:           c.PE.NumMACs(),
-			PoolBanks:      c.Pool.NumBanks,
-			BankBytes:      c.Pool.BankBytes,
-			WeightBufBytes: c.WeightBufBytes,
-			LogicalBuffers: true,
-		})
+		rep, err := fpga.Estimate(p.dev, designFor(c, true))
 		if err != nil {
 			return Result{}, err
 		}
