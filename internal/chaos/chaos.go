@@ -64,10 +64,11 @@ func (s *Spec) Validate() error {
 	if s == nil {
 		return nil
 	}
-	if s.JournalIOProb < 0 || s.JournalIOProb >= 1 {
+	// Written as !(in range) so that NaN is refused too.
+	if !(s.JournalIOProb >= 0 && s.JournalIOProb < 1) {
 		return fmt.Errorf("chaos: journal-io probability %g outside [0, 1)", s.JournalIOProb)
 	}
-	if s.StallProb < 0 || s.StallProb >= 1 {
+	if !(s.StallProb >= 0 && s.StallProb < 1) {
 		return fmt.Errorf("chaos: stall probability %g outside [0, 1)", s.StallProb)
 	}
 	if s.SlowDiskMS < 0 {

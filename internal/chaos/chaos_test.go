@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -40,10 +41,52 @@ func TestParseSpecRejects(t *testing.T) {
 		"crash@site:n=x",   // bad count
 		"tornado:p=0.1",    // unknown clause
 		"journal-io:p",     // malformed param
+		"journal-io:p=NaN", // NaN is outside [0, 1)
+		"stall:p=NaN,ms=3", // likewise
 	}
 	for _, in := range cases {
 		if _, err := ParseSpec(in); err == nil {
 			t.Errorf("ParseSpec(%q) accepted malformed input", in)
+		}
+	}
+}
+
+// TestParseSpecTable pins what each clause of the grammar sets and the
+// canonical form String renders it in.
+func TestParseSpecTable(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Spec
+		str  string
+	}{
+		{"", Spec{Seed: 1}, "seed=1"},
+		{" seed=9 ; ; ", Spec{Seed: 9}, "seed=9"},
+		{"seed=-3", Spec{Seed: -3}, "seed=-3"},
+		{"journal-io:p=0.1", Spec{Seed: 1, JournalIOProb: 0.1}, "seed=1;journal-io:p=0.1"},
+		{"journal-io: p = 0.5 ", Spec{Seed: 1, JournalIOProb: 0.5}, "seed=1;journal-io:p=0.5"},
+		{"journal-io:p=0.1;journal-io:p=0.2", Spec{Seed: 1, JournalIOProb: 0.2}, "seed=1;journal-io:p=0.2"},
+		{"slow-disk:ms=5", Spec{Seed: 1, SlowDiskMS: 5}, "seed=1;slow-disk:ms=5"},
+		{"stall:p=0.05,ms=200", Spec{Seed: 1, StallProb: 0.05, StallMS: 200}, "seed=1;stall:p=0.05,ms=200"},
+		// A zero-probability stall injects nothing and renders as nothing.
+		{"stall:p=0,ms=1", Spec{Seed: 1, StallMS: 1}, "seed=1"},
+		{"crash@recover", Spec{Seed: 1, Crashes: []CrashPoint{{"recover", 1}}}, "seed=1;crash@recover:n=1"},
+		{"crash@a:n=2;crash@b@c:n=3", Spec{Seed: 1, Crashes: []CrashPoint{{"a", 2}, {"b@c", 3}}},
+			"seed=1;crash@a:n=2;crash@b@c:n=3"},
+		{"seed=7;journal-io:p=0.25;slow-disk:ms=5;stall:p=0.05,ms=200;crash@checkpoint:n=3",
+			Spec{Seed: 7, JournalIOProb: 0.25, SlowDiskMS: 5, StallProb: 0.05, StallMS: 200,
+				Crashes: []CrashPoint{{"checkpoint", 3}}},
+			"seed=7;journal-io:p=0.25;slow-disk:ms=5;stall:p=0.05,ms=200;crash@checkpoint:n=3"},
+	} {
+		got, err := ParseSpec(tc.in)
+		if err != nil {
+			t.Errorf("ParseSpec(%q): %v", tc.in, err)
+			continue
+		}
+		if !reflect.DeepEqual(*got, tc.want) {
+			t.Errorf("ParseSpec(%q) = %+v, want %+v", tc.in, *got, tc.want)
+		}
+		if s := got.String(); s != tc.str {
+			t.Errorf("ParseSpec(%q).String() = %q, want %q", tc.in, s, tc.str)
 		}
 	}
 }
